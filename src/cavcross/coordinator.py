@@ -114,11 +114,6 @@ class Coordinator:
         return [e for e in self.entries if e.trajectory is not None]
 
 
-def exit_time_through(traj: PiecewiseTrajectory, position: float) -> float:
-    """Time the trajectory first reaches the given position."""
-    return traj.position_root(position)
-
-
 def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
     """Audits every solved pair for rear-end, merging-zone, and order safety.
 
@@ -159,7 +154,7 @@ def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
                     report.add("rear_end", entry.arrival.id, other.arrival.id,
                                ts[worst], gap[worst])
             elif group == "conflict":
-                t_m = exit_time_through(traj, cfg.L)
+                t_m = traj.position_root(cfg.L)
                 if t_m < jt.tf - 1e-9:
                     report.add("lateral", entry.arrival.id, other.arrival.id,
                                t_m, jt.tf - t_m)

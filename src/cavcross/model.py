@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .newton import bracket_roots
+
 
 class DomainError(ValueError):
     """Evaluation outside a trajectory's time domain."""
@@ -224,27 +226,12 @@ class ExpTrackArc(Arc):
     def cubic_amp(self):
         return self.a, self.b, self.c, self.d, self.amp, self.phi
 
-    def _bisect_roots(self, fn, n=256):
-        ts = np.linspace(self.t_start, self.t_end, n)
-        vals = np.array([fn(t) for t in ts])
-        roots = []
-        for i in range(n - 1):
-            f0, f1 = vals[i], vals[i + 1]
-            if f0 == 0.0:
-                roots.append(ts[i])
-            elif f0 * f1 < 0.0:
-                lo, hi = ts[i], ts[i + 1]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if fn(lo) * fn(mid) <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                roots.append(0.5 * (lo + hi))
-        return [r for r in roots if self.t_start + _EDGE_TOL < r < self.t_end - _EDGE_TOL]
+    def _interior_roots(self, fn):
+        ts = bracket_roots(fn, np.linspace(self.t_start, self.t_end, 256))
+        return [t for t in ts if self.t_start + _EDGE_TOL < t < self.t_end - _EDGE_TOL]
 
     def v_extrema(self):
-        return [(t, self.v(t)) for t in self._bisect_roots(self.u)]
+        return [(t, self.v(t)) for t in self._interior_roots(self.u)]
 
     def u_extrema(self):
         dpoly = (self.a,)
@@ -252,7 +239,7 @@ class ExpTrackArc(Arc):
                      zip(_pder(self.amp) + (0.0,) * len(self.amp),
                          tuple(x / self.phi for x in self.amp)))
         du = lambda t: _pval(dpoly, t) + (_pval(damp, t) * self._exp(t) if self.amp else 0.0)
-        return [(t, self.u(t)) for t in self._bisect_roots(du)]
+        return [(t, self.u(t)) for t in self._interior_roots(du)]
 
 
 @dataclass(frozen=True)
@@ -401,20 +388,21 @@ class PiecewiseTrajectory:
         return CostBreakdown(travel_time=T, energy=E, objective=gamma * T + E)
 
     def position_root(self, target: float, lo: float | None = None, hi: float | None = None) -> float:
-        """First time p(t) = target via bisection (p nondecreasing in practice)."""
+        """Time in [lo, hi] where p(t) = target (p nondecreasing in practice).
+
+        A target up to 1e-6 beyond the positions at both ends maps to the
+        nearer end.
+        """
         lo = self.t0 if lo is None else lo
         hi = self.tf if hi is None else hi
         plo = self.eval(lo)[0]
         phi_ = self.eval(hi)[0]
         if not (min(plo, phi_) - 1e-6 <= target <= max(plo, phi_) + 1e-6):
             raise DomainError(f"position {target} not bracketed on [{lo}, {hi}]")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if (self.eval(lo)[0] - target) * (self.eval(mid)[0] - target) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        roots = bracket_roots(lambda t: self.eval(t)[0] - target, (lo, hi))
+        if roots:
+            return roots[0]
+        return lo if abs(plo - target) < abs(phi_ - target) else hi
 
     def extended(self, until: float) -> "PiecewiseTrajectory":
         """Append a constant-speed arc from the terminal state out to ``until``.
@@ -427,11 +415,6 @@ class PiecewiseTrajectory:
         tail = CruiseArc(t_start=self.tf, t_end=until, v0=self.vf,
                          p_start=self.eval(self.tf)[0])
         return PiecewiseTrajectory(self.arcs + (tail,))
-
-
-def arc_extrema(arc: Arc):
-    """(v stationary points, u stationary points) of one arc, endpoints excluded."""
-    return arc.v_extrema(), arc.u_extrema()
 
 
 # ---------------------------------------------------------------------------

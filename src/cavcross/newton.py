@@ -1,20 +1,30 @@
-"""Damped Newton iteration on stacked residual vectors.
+"""The solver's two root finders.
 
-One deliberately small root finder serves every boundary-value system in the
-solver: forward-difference Jacobian, Armijo backtracking on the squared
-residual norm, and a deterministic ladder of initial guesses supplied by the
-caller. No randomness, so solves are reproducible bit for bit.
+* ``bracket_roots`` -- every root of a scalar function on a grid: one scan
+  for sign changes, each bracket refined by Chandrupatla's hybrid of inverse
+  quadratic interpolation and bisection (Chandrupatla 1997; the same family
+  as Brent 1973). The free horizon, the gap-ride entry and exit, the
+  position-cap dwell, the pinned blend span, arc extrema and position
+  crossings go through it.
+* ``solve_system`` -- damped Newton on a stacked residual vector, for the
+  coupled arc systems still solved jointly: forward-difference Jacobian,
+  Armijo backtracking on the squared residual norm, and a deterministic
+  ladder of initial guesses supplied by the caller.
+
+No randomness, so solves are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 FD_STEP = 1e-7
 MAX_ITER = 100
 TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -24,7 +34,6 @@ class NewtonResult:
     iterations: int
     converged: bool
     start_index: int = 0
-    trace: list = field(default_factory=list)
 
 
 def _jacobian(fn, x, r0):
@@ -41,12 +50,11 @@ def _jacobian(fn, x, r0):
 def _solve_one(fn, x0, tol, max_iter):
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fn(x), dtype=float)
-    trace = [float(np.max(np.abs(r)))]
-    best_x, best_norm = x.copy(), trace[0]
+    best_x, best_norm = x.copy(), float(np.max(np.abs(r)))
     for it in range(1, max_iter + 1):
         norm = np.max(np.abs(r))
         if norm <= tol:
-            return NewtonResult(x, float(norm), it - 1, True, trace=trace)
+            return NewtonResult(x, float(norm), it - 1, True)
         J = _jacobian(fn, x, r)
         try:
             step = np.linalg.solve(J, -r)
@@ -66,13 +74,12 @@ def _solve_one(fn, x0, tol, max_iter):
             break
         x, r = x_new, r_new
         norm = float(np.max(np.abs(r)))
-        trace.append(norm)
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
     norm = float(np.max(np.abs(r)))
     if norm <= tol:
-        return NewtonResult(x, norm, max_iter, True, trace=trace)
-    return NewtonResult(best_x, best_norm, max_iter, False, trace=trace)
+        return NewtonResult(x, norm, max_iter, True)
+    return NewtonResult(best_x, best_norm, max_iter, False)
 
 
 def solve_system(fn, starts, tol=TOL, max_iter=MAX_ITER) -> NewtonResult:
@@ -96,3 +103,61 @@ def solve_system(fn, starts, tol=TOL, max_iter=MAX_ITER) -> NewtonResult:
     if best is None:
         best = NewtonResult(np.asarray(starts[0], dtype=float), np.inf, 0, False)
     return best
+
+
+def bracket_roots(fn, grid) -> list:
+    """Every root of the scalar ``fn`` on ``grid``, in grid order.
+
+    ``fn`` is evaluated once at each grid point. A point where it is exactly
+    zero is a root; a neighbouring pair of opposite signs brackets one, which
+    is refined until the bracket is a few ulps wide. A pair touching a NaN is
+    skipped, so callers mark points where ``fn`` is undefined with NaN, and a
+    bracket whose interior evaluates to NaN gives no root.
+    """
+    xs = [float(x) for x in grid]
+    fs = [float(fn(x)) for x in xs]
+    roots = []
+    for i, (x0, f0) in enumerate(zip(xs, fs)):
+        if f0 == 0.0:
+            roots.append(x0)
+        elif i + 1 < len(xs) and f0 * fs[i + 1] < 0.0:
+            root = _chandrupatla(fn, x0, xs[i + 1], f0, fs[i + 1])
+            if root is not None:
+                roots.append(root)
+    return roots
+
+
+def _chandrupatla(fn, a, b, fa, fb):
+    """Root inside [a, b] with fa*fb < 0, to within 2 eps of its magnitude.
+
+    Each step interpolates the last three points by an inverse quadratic when
+    they make it safe and bisects otherwise; the trial point stays at least
+    the tolerance inside the bracket, so the bracket shrinks every step.
+    """
+    c, fc = b, fb
+    t = 0.5
+    for _ in range(MAX_ITER):
+        xt = a + t * (b - a)
+        ft = float(fn(xt))
+        if math.isnan(ft):
+            return None
+        if (ft < 0.0) == (fa < 0.0):
+            c, fc = a, fa
+        else:
+            c, fc = b, fb
+            b, fb = a, fa
+        a, fa = xt, ft
+        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tol = _EPS * abs(xm) + 1e-300
+        tl = tol / abs(b - a)
+        if fm == 0.0 or tl > 0.5:
+            return xm
+        xi = (a - b) / (c - b)
+        ph = (fa - fb) / (fc - fb)
+        if ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
+        t = min(1.0 - tl, max(tl, t))
+    return xm

@@ -6,8 +6,11 @@ reaction-headway gap behind the same-lane leader, an interior position cap at
 a conflicting CAV's exit time, and first-in-first-out ordering.
 
 Stationarity makes the unconstrained control linear in time (u = a*t + b with
-costates lambda_p = a, lambda_v = -(a*t + b)), so every solve reduces to a
-small nonlinear system for arc coefficients and junction times:
+costates lambda_p = a, lambda_v = -(a*t + b)). Given the junction and
+terminal times every arc follows in closed form, so most solves reduce to a
+scalar residual in one time whose roots ``newton.bracket_roots`` brackets on
+a grid; only the follower terminal and the saturation families still solve
+small coupled systems by Newton:
 
 * ``solve_p0_free``       -- free terminal time, no active constraints.
 * ``solve_p1_fixed``      -- pinned terminal time (linear 4x4 system).
@@ -38,7 +41,7 @@ from .bounds import TerminalWindow, composite_window
 from .model import (ConfigError, CruiseArc, CubicArc, ExpTrackArc,
                     PiecewiseTrajectory, SatArc, ScenarioConfig,
                     VehicleArrival, _pint)
-from .newton import NewtonResult, solve_system
+from .newton import bracket_roots, solve_system
 
 
 class SolverError(RuntimeError):
@@ -95,7 +98,6 @@ class MultiplierRecord:
     eta: float | None = None                       # terminal headway multiplier
     zeta: float | None = None                      # interior position-cap jump
     pi: float | None = None                        # junction jump (0 when costates continuous)
-    notes: list = field(default_factory=list)
 
 
 @dataclass
@@ -134,7 +136,9 @@ def solve_p0_free(t0, v0, cfg: ScenarioConfig, report: SolveReport | None = None
 
     Unknowns (a, b, tf) with c, d fixed by the entry state; the terminal
     stack is position at the exit distance, vanishing terminal control, and a
-    vanishing Hamiltonian. Returns (params, trajectory).
+    vanishing Hamiltonian. The first two fix (a, b) in closed form for each
+    horizon T = tf - t0, leaving the Hamiltonian as a scalar root in T.
+    Returns (params, trajectory).
     """
     D = cfg.exit_distance
     if v0 <= 0:
@@ -148,57 +152,25 @@ def solve_p0_free(t0, v0, cfg: ScenarioConfig, report: SolveReport | None = None
             report.multipliers.lambda_p.append((t0, tf, 0.0))
         return params, _single_cubic_traj(t0, tf, 0.0, 0.0, c, d)
 
-    # scalar pre-bracket on the horizon length T (shifted frame)
+    # shifted frame: u(tf) = 0 and p(tf) = D give a = 3*(v0*T - D)/T^3, and
+    # H(tf) = gamma + a*v0 - a^2*T^2/2 falls from gamma at T = D/v0 as T shrinks
     def f_of_T(T):
         a = 3.0 * (v0 * T - D) / T**3
         return cfg.gamma + a * v0 - 0.5 * a * a * T * T
 
-    T_hi = D / v0
-    T_lo = T_hi
-    for _ in range(200):
-        T_lo *= 0.95
-        if f_of_T(T_lo) < 0.0:
-            break
-    else:
+    roots = bracket_roots(f_of_T, D / v0 * 0.5 ** np.arange(16))
+    if not roots:
         raise StructureError("free-terminal bracket not found")
-    for _ in range(80):
-        mid = 0.5 * (T_lo + T_hi)
-        if f_of_T(mid) < 0.0:
-            T_lo = mid
-        else:
-            T_hi = mid
-    T_star = 0.5 * (T_lo + T_hi)
-    a0 = 3.0 * (v0 * T_star - D) / T_star**3
-    b0 = -a0 * (t0 + T_star)
-
-    def residual(x):
-        a, b, z = x
-        tf = t0 + math.exp(z)
-        c, d = _init_cd(t0, v0, a, b)
-        uf = _cub_u(a, b, tf)
-        vf = _cub_v(a, b, c, tf)
-        return np.array([
-            _cub_p(a, b, c, d, tf) - D,
-            uf,
-            cfg.gamma - 0.5 * uf * uf + a * vf,
-        ])
-
-    starts = [
-        (a0, b0, math.log(T_star)),
-        (0.0, 0.0, math.log(T_hi if T_hi > 0 else 1.0)),
-        (a0 * 1.05, b0 * 1.05, math.log(T_star * 0.98)),
-    ]
-    res = solve_system(residual, starts)
-    if not res.converged:
-        raise StructureError(f"free-terminal solve failed (residual {res.residual_norm:.3e})")
-    a, b, z = res.x
-    tf = t0 + math.exp(z)
+    T = roots[0]
+    a = 3.0 * (v0 * T - D) / T**3
+    b = -a * (t0 + T)
+    tf = t0 + T
     c, d = _init_cd(t0, v0, a, b)
     # sanity: accelerate-toward-exit shape (nonincreasing, nonnegative control)
     if a > 1e-10 or _cub_u(a, b, t0) < -1e-8:
         raise StructureError("free-terminal solve lost its accelerate/relax shape")
     if report is not None:
-        report.log("free_terminal", residual=res.residual_norm, iters=res.iterations)
+        report.log("free_terminal", residual=abs(f_of_T(T)))
         report.multipliers.lambda_p.append((t0, tf, a))
     return UnconstrainedParams(a, b, c, d, tf), _single_cubic_traj(t0, tf, a, b, c, d)
 
@@ -300,11 +272,6 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
 # gap-riding (rear-end constraint) structures
 # ---------------------------------------------------------------------------
 
-def _leader_state(leader: PiecewiseTrajectory, t):
-    p, v, u = leader.eval(t)
-    return p, v, u
-
-
 def _entry_coeffs(t0, v0, phi, d0, leader, tau):
     """Cubic (a, b) grazing the gap boundary at tau: gap and gap-rate vanish.
 
@@ -349,28 +316,12 @@ def _entry_block(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
     phi, d0 = cfg.phi, cfg.delta0
     t_hi = leader.tf + 2.0 * phi + 1.0
     leader = leader.extended(t_hi + 1.0)
-    taus = np.linspace(t0 + 1e-3, t_hi, 400)
-    gs = []
-    for tau in taus:
-        out = _entry_coeffs(t0, v0, phi, d0, leader, tau)
-        gs.append(np.nan if out is None else out[2])
-    gs = np.array(gs)
 
-    roots = []
-    for i in range(len(taus) - 1):
-        if np.isnan(gs[i]) or np.isnan(gs[i + 1]):
-            continue
-        if gs[i] == 0.0 or gs[i] * gs[i + 1] < 0.0:
-            lo, hi = taus[i], taus[i + 1]
-            glo = gs[i]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                gm = _entry_coeffs(t0, v0, phi, d0, leader, mid)[2]
-                if glo * gm <= 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            roots.append(0.5 * (lo + hi))
+    def mismatch(tau):
+        out = _entry_coeffs(t0, v0, phi, d0, leader, tau)
+        return np.nan if out is None else out[2]
+
+    roots = bracket_roots(mismatch, np.linspace(t0 + 1e-3, t_hi, 400))
     if not roots:
         raise StructureError("no osculating junction with the gap boundary")
 
@@ -502,23 +453,17 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
     horizon = max(leader.tf, tf_fixed or 0.0, tau1) + 8.0 + (cfg.phi * max(v_kf, v0) + cfg.delta0) / max(v_kf, 1e-6)
     pieces = _ride_pieces(leader, tau1, u_entry, cfg, horizon)
 
-    def ride_pvu(t):
-        return _ride_eval(pieces, t)
-
     exit_solution = None
     if terminal == "fixed":
         if tf_fixed is None:
             raise ConfigError("fixed terminal requested without a value")
-        exit_solution = _exit_block(pieces, tau1, tf_fixed, None, None, cfg, leader,
-                                    mode="fixed")
+        exit_solution = _exit_block(pieces, tau1, tf_fixed, cfg, leader, mode="fixed")
     elif terminal == "free":
-        exit_solution = _exit_block(pieces, tau1, None, None, None, cfg, leader,
-                                    mode="free", tf_guess=tf_fixed)
+        exit_solution = _exit_block(pieces, tau1, None, cfg, leader, mode="free")
         if exit_solution is None:
             terminal = "follower"
     if terminal == "follower" and exit_solution is None:
-        exit_solution = _exit_block(pieces, tau1, None, leader.tf, v_kf, cfg, leader,
-                                    mode="follower", tf_guess=tf_fixed)
+        exit_solution = _exit_block(pieces, tau1, None, cfg, leader, mode="follower")
 
     if exit_solution is not None:
         e, r, q, m, tau2, tf, eta = exit_solution
@@ -547,19 +492,10 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
         raise StructureError("no admissible departure for the pinned terminal time")
     if exit_solution is None:
         # ride the boundary through the merging-zone exit
-        p_end = ride_pvu(horizon)[0]
-        while p_end < D:
+        while _ride_eval(pieces, horizon)[0] < D:
             horizon += 10.0
             pieces = _ride_pieces(leader, tau1, u_entry, cfg, horizon)
-            p_end = ride_pvu(horizon)[0]
-        lo, hi = tau1, horizon
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ride_pvu(mid)[0] < D:
-                lo = mid
-            else:
-                hi = mid
-        tf = 0.5 * (lo + hi)
+        tf = bracket_roots(lambda t: _ride_eval(pieces, t)[0] - D, (tau1, horizon))[0]
         ride = _truncate_ride(pieces, tf)
         traj = PiecewiseTrajectory(tuple([CubicArc(t_start=t0, t_end=tau1,
                                                    a=a, b=b, c=c, d=d)] + ride))
@@ -591,174 +527,78 @@ def _tail_feasible(pieces, leader, e, r, q, m, tau2, tf, cfg):
     return np.max(p + cfg.phi * v + cfg.delta0 - pk) <= 5e-7
 
 
-def _exit_block(pieces, tau1, tf_fixed, t_kf, v_kf, cfg: ScenarioConfig, leader, *,
-                mode, tf_guess=None):
+def _smallest_positive_root(A, B, C):
+    """Smallest positive root of A*s^2 + B*s + C, NaN when there is none."""
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return math.nan
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    roots = (q / A if A else math.nan, C / q if q else math.nan)
+    return min((x for x in roots if x > 0.0), default=math.nan)
+
+
+def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
     """Departing cubic leaving the gap boundary at tau2.
 
-    Control continuity at tau2 fixes the tail cubic linearly once tau2 (and,
-    for the pinned terminal, tf) are known, so the solve collapses to a
-    scalar root in tau2 for the pinned terminal and a 2-variable system in
-    (tau2, tf) otherwise. Returns (e, r, q, m, tau2, tf, eta) or None when no
-    admissible departure exists (the signal for riding to the exit instead).
-    """
-    D = cfg.exit_distance
-    t_last = pieces[-1].t_end
+    With (p_r, v_r, u_r) the ride state at tau2 and s = tf - tau2, control
+    continuity at tau2 and the terminal conditions fix the tail in closed
+    form, so every mode is a scalar residual g(tau2):
 
+    * fixed: s = tf_fixed - tau2 and u(tf) = 0 give u = u_r*(1 - tau/s) with
+      tau = t - tau2, and g = p(tf) - D = p_r + v_r*s + u_r*s^2/3 - D.
+    * free: the same tail control with H(tf) = 0 gives
+      s = u_r*v_r/(gamma - u_r^2/2), and g is the same exit-position mismatch.
+    * follower: the headway bound gives v_f = (v_kf*(tau2 + s - t_kf) - delta0)/phi,
+      linear in s, so p(tf) = D is the quadratic
+      p_r + (2/3)*v_r*s + u_r*s^2/6 + (s/3)*v_f(s) = D, whose smallest positive
+      root is s. With the tail slope e = 2*(v_f - v_r - u_r*s)/s^2,
+      u_f = u_r + e*s and eta = u_f/phi, g = gamma - u_f^2/2 + e*v_f + eta*v_kf.
+
+    g is scanned on 300 points of tau2 between tau1 and the end of the ride
+    (and the pinned tf), NaN where no tail of positive length exists; the
+    first root whose tail keeps the gap closed wins. Returns
+    (e, r, q, m, tau2, tf, eta) or None when no admissible departure exists
+    (the signal for riding to the exit instead).
+    """
+    D, gamma, phi = cfg.exit_distance, cfg.gamma, cfg.phi
+    t_kf, v_kf = leader.tf, leader.vf
+
+    def tail(tau2):
+        """(tf, tail slope e, residual g) of the departure at tau2."""
+        p_r, v_r, u_r = _ride_eval(pieces, tau2)
+        if mode == "follower":
+            # v_f = alpha + beta*s; no departure once the ride has passed the exit
+            alpha = (v_kf * (tau2 - t_kf) - cfg.delta0) / phi
+            beta = v_kf / phi
+            s = math.nan if p_r >= D else _smallest_positive_root(
+                u_r / 6.0 + beta / 3.0, (2.0 * v_r + alpha) / 3.0, p_r - D)
+            v_f = alpha + beta * s
+            e = 2.0 * (v_f - v_r - u_r * s) / (s * s)
+            u_f = u_r + e * s
+            return tau2 + s, e, gamma - 0.5 * u_f * u_f + e * v_f + u_f / phi * v_kf
+        if mode == "fixed":
+            s = tf_fixed - tau2
+        else:
+            den = gamma - 0.5 * u_r * u_r
+            s = u_r * v_r / den if den else math.nan
+        if not s > 0.0:
+            return math.nan, math.nan, math.nan
+        tf = tf_fixed if mode == "fixed" else tau2 + s
+        return tf, -u_r / s, p_r + v_r * s + u_r * s * s / 3.0 - D
+
+    hi = pieces[-1].t_end - 1e-6
     if mode == "fixed":
-        def tail_for(tau2):
-            _, _, u_r = _ride_eval(pieces, tau2)
-            e = u_r / (tau2 - tf_fixed)
-            r = -e * tf_fixed
-            q, m = _tail_qm(pieces, e, r, tau2)
-            return e, r, q, m
-
-        def g(tau2):
-            e, r, q, m = tail_for(tau2)
-            return _cub_p(e, r, q, m, tf_fixed) - D
-
-        hi = min(t_last, tf_fixed) - 1e-6
-        if hi <= tau1 + 1e-6:
-            return None
-        taus = np.linspace(tau1 + 1e-6, hi, 300)
-        gs = np.array([g(tau) for tau in taus])
-        roots = []
-        for i in range(len(taus) - 1):
-            if gs[i] == 0.0 or gs[i] * gs[i + 1] < 0.0:
-                lo, up, glo = taus[i], taus[i + 1], gs[i]
-                for _ in range(100):
-                    mid = 0.5 * (lo + up)
-                    gm = g(mid)
-                    if glo * gm <= 0.0:
-                        up = mid
-                    else:
-                        lo, glo = mid, gm
-                roots.append(0.5 * (lo + up))
-        for tau2 in sorted(roots):
-            e, r, q, m = tail_for(tau2)
-            if _tail_feasible(pieces, leader, e, r, q, m, tau2, tf_fixed, cfg):
-                return float(e), float(r), float(q), float(m), float(tau2), \
-                    float(tf_fixed), None
+        hi = min(hi, tf_fixed - 1e-6)
+    if hi <= tau1 + 1e-6:
         return None
-
-    # free / follower terminals: outer 2-variable system in (tau2, tf)
-    def inner(tau2, tf):
-        _, v_r, u_r = _ride_eval(pieces, tau2)
-        if mode == "free":
-            e = u_r / (tau2 - tf)
-            r = -e * tf
-        else:
-            # control continuity + exit time on the headway boundary
-            A = np.array([
-                [tau2, 1.0],
-                [cfg.phi * 0.5 * (tf * tf - tau2 * tau2), cfg.phi * (tf - tau2)],
-            ])
-            rhs = np.array([
-                u_r,
-                v_kf * (tf - t_kf) - cfg.delta0 - cfg.phi * v_r,
-            ])
-            e, r = np.linalg.solve(A, rhs)
+    for tau2 in bracket_roots(lambda t: tail(t)[2], np.linspace(tau1 + 1e-6, hi, 300)):
+        tf, e, _ = tail(tau2)
+        r = _ride_eval(pieces, tau2)[2] - e * tau2
         q, m = _tail_qm(pieces, e, r, tau2)
-        return e, r, q, m
-
-    def residual(x):
-        z1, z2 = x
-        tau2 = tau1 + math.exp(z1)
-        tf = tau2 + math.exp(z2)
-        if tau2 >= t_last - 1e-9:
-            return np.array([1e6, 1e6])
-        try:
-            e, r, q, m = inner(tau2, tf)
-        except np.linalg.LinAlgError:
-            return np.array([1e6, 1e6])
-        uf = _cub_u(e, r, tf)
-        vf = _cub_v(e, r, q, tf)
-        if mode == "free":
-            return np.array([
-                _cub_p(e, r, q, m, tf) - D,
-                cfg.gamma - 0.5 * uf * uf + e * vf,
-            ])
-        eta = uf / cfg.phi
-        return np.array([
-            _cub_p(e, r, q, m, tf) - D,
-            cfg.gamma - 0.5 * uf * uf + e * vf + eta * v_kf,
-        ])
-
-    span = t_last - tau1
-    starts = []
-    for frac in (0.4, 0.2, 0.6, 0.8):
-        tau2_g = tau1 + frac * span
-        if tf_guess is not None and tf_guess > tau2_g + 0.2:
-            tf_g = tf_guess
-        elif t_kf is not None:
-            tf_g = max(t_kf + 0.5, tau2_g + 1.0)
-        else:
-            tf_g = tau2_g + max(0.3 * span, 1.0)
-        starts.append((math.log(tau2_g - tau1), math.log(tf_g - tau2_g)))
-    res = solve_system(residual, starts)
-    if not res.converged:
-        return None
-    tau2 = tau1 + math.exp(res.x[0])
-    tf = tau2 + math.exp(res.x[1])
-    e, r, q, m = inner(tau2, tf)
-    if not _tail_feasible(pieces, leader, e, r, q, m, tau2, tf, cfg):
-        return None
-    eta = _cub_u(e, r, tf) / cfg.phi if mode == "follower" else None
-    return float(e), float(r), float(q), float(m), float(tau2), float(tf), \
-        (float(eta) if eta is not None else None)
-
-
-def solve_safety_joint(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
-                       tf_fixed):
-    """One stacked solve of entry + departure, for independence checks.
-
-    Treats (tau1, tau2) as the unknowns with everything else resolved by
-    linear inner solves (entry cubic from the gap/gap-rate conditions, tail
-    cubic from control continuity and the terminal conditions), and the
-    riding segment rebuilt inside the residual so the departure genuinely
-    feeds back on the entry. Confirms that the entry subproblem's solution
-    does not move when both are solved jointly.
-    """
-    phi, d0 = cfg.phi, cfg.delta0
-    D = cfg.exit_distance
-    lead_ext = leader.extended(tf_fixed + 5.0)
-
-    def residual(x):
-        za, zb = x
-        tau1 = t0 + math.exp(za)
-        tau2 = tau1 + (tf_fixed - tau1) / (1.0 + math.exp(-zb))
-        if tau1 >= tf_fixed - 1e-3:
-            return np.array([1e6, 1e6])
-        out = _entry_coeffs(t0, v0, phi, d0, lead_ext, tau1)
-        if out is None:
-            return np.array([1e6, 1e6])
-        a, b, g = out
-        u_entry = _cub_u(a, b, tau1)
-        try:
-            pieces = _ride_pieces(leader, tau1, u_entry, cfg, tf_fixed + 1.0)
-        except StructureError:
-            return np.array([1e6, 1e6])
-        _, _, u_r = _ride_eval(pieces, tau2)
-        e = u_r / (tau2 - tf_fixed)
-        r = -e * tf_fixed
-        q, m = _tail_qm(pieces, e, r, tau2)
-        return np.array([g, _cub_p(e, r, q, m, tf_fixed) - D])
-
-    starts = []
-    for f1, f2 in ((0.3, 0.5), (0.5, 0.5), (0.2, 0.4), (0.4, 0.7)):
-        tau1_g = t0 + f1 * (tf_fixed - t0)
-        starts.append((math.log(tau1_g - t0), math.log(f2 / (1.0 - f2))))
-    res = solve_system(residual, starts)
-    if not res.converged:
-        raise StructureError("joint gap solve failed")
-    za, zb = res.x
-    tau1 = t0 + math.exp(za)
-    tau2 = tau1 + (tf_fixed - tau1) / (1.0 + math.exp(-zb))
-    a, b, _ = _entry_coeffs(t0, v0, phi, d0, lead_ext, tau1)
-    pieces = _ride_pieces(leader, tau1, _cub_u(a, b, tau1), cfg, tf_fixed + 1.0)
-    _, _, u_r = _ride_eval(pieces, tau2)
-    e = u_r / (tau2 - tf_fixed)
-    r = -e * tf_fixed
-    return {"a": a, "b": b, "tau1": tau1, "e": e, "r": r, "tau2": tau2}
+        if _tail_feasible(pieces, leader, e, r, q, m, tau2, tf, cfg):
+            eta = _cub_u(e, r, tf) / phi if mode == "follower" else None
+            return e, r, q, m, tau2, tf, eta
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -810,48 +650,28 @@ def solve_lateral(t0, v0, tm, cfg: ScenarioConfig, *, terminal="free",
     else:
         # the tail Hamiltonian runs from -inf at zero dwell up through its
         # root, then humps back toward 0+; bracket the single crossing on a
-        # geometric ladder and bisect it
+        # geometric ladder of dwell times
         def h_tail(dur):
             tf = tm + dur
-            x, _ = linear_solve(tf)
+            try:
+                x, _ = linear_solve(tf)
+            except np.linalg.LinAlgError:
+                return math.nan
             e, r, q = x[4], x[5], x[6]
             uf = _cub_u(e, r, tf)
             vf = _cub_v(e, r, q, tf)
             return cfg.gamma - 0.5 * uf * uf + e * vf
 
         base = max((D - L) / max(v0, 0.5), 0.5)
-        ladder = [base * f for f in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8,
+        ladder = [base * f for f in (1e-9, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8,
                                      1.6, 3.2, 6.4, 12.8, 25.6)]
         if tf_fixed:
             ladder.append(max(tf_fixed - tm, 1e-3))
             ladder.sort()
-        lo = hi = None
-        d_prev, g_prev = None, None
-        for dur in ladder:
-            try:
-                g = h_tail(dur)
-            except np.linalg.LinAlgError:
-                continue
-            if g >= 0.0:
-                lo = d_prev if g_prev is not None else 1e-9 * base
-                hi = dur
-                break
-            d_prev, g_prev = dur, g
-        if hi is None:
+        roots = bracket_roots(h_tail, ladder)
+        if not roots:
             raise StructureError("free-terminal position-cap solve failed")
-        for _ in range(200):
-            if hi - lo <= 1e-13 * max(hi, 1.0):
-                break
-            mid = 0.5 * (lo + hi)
-            try:
-                neg = h_tail(mid) < 0.0
-            except np.linalg.LinAlgError:
-                neg = True
-            if neg:
-                lo = mid
-            else:
-                hi = mid
-        tf = tm + 0.5 * (lo + hi)
+        tf = tm + roots[0]
         x, resid = linear_solve(tf)
 
     scale = max(1.0, D)
@@ -948,7 +768,7 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
             tf = tau2 + (D - p2) / v_sat
             if tf < tau2 - 1e-9:
                 raise StructureError("cap cruise overshoots the exit")
-            nres = res
+            residual, iters = res.residual_norm, res.iterations
         else:
             if tf_fixed is None:
                 raise ConfigError("pinned terminal requested without a value")
@@ -957,7 +777,7 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
             # the blend cubic runs u from u_sat down to 0 over a span s; speed
             # continuity then forces the blend to straddle the bang-profile
             # corner symmetrically, leaving a single unknown whose pin-distance
-            # residual is monotone in s — bisection instead of shooting
+            # residual is monotone in s — a bracketed root instead of shooting
             T_bang = (v_sat - v0) / u_sat
             if T_bang < 0 or tf_fixed - t0 <= T_bang:
                 raise StructureError("pinned terminal inside the saturation ramp")
@@ -971,39 +791,20 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
                 p2 = p1 + v1 * s + u_sat * s * s / 3.0
                 return p2 + v_sat * (tf_fixed - tau2) - D
 
-            lo, hi = 0.0, s_max
-            f_lo, f_hi = pin_gap(lo), pin_gap(hi)
-            if f_lo == 0.0:
-                s_star, f_star, it = lo, f_lo, 0
-            elif f_lo * f_hi > 0.0:
+            roots = bracket_roots(pin_gap, (0.0, s_max))
+            if not roots:
                 raise StructureError(
                     "pinned terminal outside the saturate-blend-cruise range")
-            else:
-                it = 0
-                while hi - lo > 1e-15 * max(s_max, 1.0) and it < 200:
-                    mid = 0.5 * (lo + hi)
-                    f_mid = pin_gap(mid)
-                    if f_mid == 0.0:
-                        lo = hi = mid
-                        break
-                    if f_lo * f_mid < 0.0:
-                        hi, f_hi = mid, f_mid
-                    else:
-                        lo, f_lo = mid, f_mid
-                    it += 1
-                s_star = 0.5 * (lo + hi)
             # a pin sitting microns above the bang time collapses the span and
             # the cubic coefficients blow up; widening to a floor costs
             # u_sat*s^2/24 in terminal position, well under tolerance
-            s_star = min(max(s_star, 1e-3), s_max)
-            f_star = pin_gap(s_star)
+            s_star = min(max(roots[0], 1e-3), s_max)
             tau2 = t0 + T_bang + 0.5 * s_star
             tau1 = tau2 - s_star
             a = -u_sat / s_star
             b = -a * tau2
             tf = tf_fixed
-            nres = NewtonResult(x=np.array([s_star]), residual_norm=abs(f_star),
-                                iterations=it, converged=True)
+            residual, iters = abs(pin_gap(s_star)), 0
         traj, c, d = build(tau1, tau2, a, b, tf)
         info.update(tau1=tau1, tau2=tau2, tf=tf, a=a, b=b)
     elif sat_u:
@@ -1051,7 +852,7 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
         b = u_sat - a * tau1
         traj, c, d = build(tau1, tf, a, b, tf)
         info.update(tau1=tau1, tau2=tf, tf=tf, a=a, b=b)
-        nres = res
+        residual, iters = res.residual_norm, res.iterations
     else:
         info["family"] = "relax_then_cruise"
 
@@ -1102,9 +903,9 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
                                   p_start=_cub_p(a, b, c, d, tau2)))
         traj = PiecewiseTrajectory(tuple(arcs))
         info.update(tau1=t0, tau2=tau2, tf=tf, a=a, b=b)
-        nres = res
+        residual, iters = res.residual_norm, res.iterations
     if report is not None:
-        report.log(info["family"], residual=nres.residual_norm, iters=nres.iterations,
+        report.log(info["family"], residual=residual, iters=iters,
                    direction=direction, tf=info["tf"])
         report.multipliers.lambda_p.append((info["tau1"], info["tau2"], info["a"]))
         if direction < 0:

@@ -56,6 +56,29 @@ def test_track_arc_vector_eval_matches_scalar():
     npt.assert_allclose(arc.p(ts), [arc.p(float(t)) for t in ts], rtol=1e-14)
 
 
+@pytest.mark.parametrize("amp", [(1.5,), (1.5, -0.05)])
+def test_track_arc_extrema_match_dense_sampling(amp):
+    # u dips below zero and recovers: two interior speed extrema (where u
+    # crosses zero) and one interior control minimum
+    arc = ExpTrackArc(t_start=0.0, t_end=20.0, a=0.02, b=-0.3, c=10.0, d=0.0,
+                      amp=amp, phi=2.0)
+    ts = np.linspace(0.0, 20.0, 200001)
+    u = arc.u(ts)
+    v = arc.v(ts)
+    cross = np.flatnonzero(np.sign(u[:-1]) != np.sign(u[1:]))
+    v_ext = arc.v_extrema()
+    assert len(v_ext) == len(cross) == 2
+    for (t, vt), i in zip(v_ext, cross):
+        assert ts[i] <= t <= ts[i + 1]
+        assert vt == pytest.approx(v[i], abs=1e-8)
+    (t_u, u_min), = arc.u_extrema()
+    k = int(np.argmin(u))
+    assert 0 < k < ts.size - 1
+    assert abs(t_u - ts[k]) <= 1e-3
+    assert u_min == pytest.approx(u[k], abs=1e-10)
+    assert u_min <= u[k]
+
+
 def test_sat_and_cruise_arcs():
     sat = SatArc(t_start=0.0, t_end=4.0, u0=0.2, v_start=10.0, p_start=0.0)
     assert sat.v(4.0) == pytest.approx(10.8)
@@ -118,6 +141,9 @@ def test_position_root_and_extension():
     assert traj.position_root(37.0) == pytest.approx(3.7, abs=1e-9)
     with pytest.raises(DomainError):
         traj.position_root(150.0)
+    # a target within the 1e-6 slack beyond either end maps to that end
+    assert traj.position_root(-5e-7) == 0.0
+    assert traj.position_root(100.0 + 5e-7) == 10.0
     ext = traj.extended(15.0)
     assert ext.tf == 15.0
     assert ext.eval(15.0)[0] == pytest.approx(150.0)

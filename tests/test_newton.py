@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavcross.newton import solve_system
+from cavcross.newton import bracket_roots, solve_system
 
 
 def test_scalar_root():
@@ -59,3 +59,51 @@ def test_stiff_exponential_system():
     assert res.converged
     x0 = math.log(2.0) / 3.0
     assert res.x == pytest.approx([x0, x0 ** 2], abs=1e-8)
+
+
+def _within_ulps(x, ref, n=4):
+    return abs(x - ref) <= n * math.ulp(ref)
+
+
+def test_bracket_roots_finds_every_sign_change_in_grid_order():
+    roots = bracket_roots(math.sin, np.linspace(0.5, 10.0, 40))
+    assert len(roots) == 3
+    for k, r in enumerate(roots, start=1):
+        assert _within_ulps(r, k * math.pi)
+
+
+def test_bracket_roots_converges_to_a_few_ulps():
+    (r,) = bracket_roots(lambda x: x * x - 2.0, [0.0, 3.0])
+    assert _within_ulps(r, math.sqrt(2.0))
+    (r,) = bracket_roots(lambda x: math.cos(x) - x, np.linspace(0.0, 2.0, 5))
+    assert abs(math.cos(r) - r) <= 4 * math.ulp(r)
+
+
+def test_bracket_roots_keeps_an_exact_zero_at_a_grid_point():
+    # the zero at x = 1 sits on the grid and is reported once; the other
+    # root lies between grid points
+    roots = bracket_roots(lambda x: (x - 1.0) * (x - 2.3), np.linspace(0.0, 3.0, 7))
+    assert roots[0] == 1.0
+    assert len(roots) == 2
+    assert _within_ulps(roots[1], 2.3)
+
+
+def test_bracket_roots_without_a_sign_change_is_empty():
+    assert bracket_roots(lambda x: x * x + 1.0, np.linspace(-2.0, 2.0, 9)) == []
+    # a double root between grid points touches zero without crossing it
+    assert bracket_roots(lambda x: (x - 0.7) ** 2, np.linspace(0.0, 2.0, 5)) == []
+
+
+def test_bracket_roots_skips_nan_gaps():
+    def holed(x):
+        return math.nan if 1.0 < x < 2.0 else math.sin(x)
+
+    # the sign change of x - 1.5 sits inside the hole and is not invented;
+    # the root of sin at pi, past the hole, is still found
+    assert bracket_roots(lambda x: math.nan if 1.0 < x < 2.0 else x - 1.5,
+                         np.linspace(0.0, 3.0, 7)) == []
+    (r,) = bracket_roots(holed, np.linspace(0.5, 4.0, 8))
+    assert _within_ulps(r, math.pi)
+    # a hole strictly inside a bracket leaves that bracket without a root
+    assert bracket_roots(lambda x: math.nan if 1.25 < x < 1.35 else x - 1.3,
+                         [1.0, 2.0]) == []

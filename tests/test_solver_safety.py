@@ -6,7 +6,9 @@ import pytest
 from cavcross.model import (CubicArc, ExpTrackArc, PiecewiseTrajectory,
                             ScenarioConfig)
 from cavcross.solver import (SolveReport, StructureError, solve_p1_fixed,
-                             solve_safety, solve_safety_joint)
+                             solve_safety)
+from cavcross.verifier import audit
+from safety_reference import solve_safety_joint
 
 CFG = ScenarioConfig(v_max=20.0)
 
@@ -142,3 +144,28 @@ def test_free_terminal_safety_checks_hamiltonian():
     assert traj.eval(traj.tf)[0] == pytest.approx(400.0, abs=1e-7)
     everywhere = np.linspace(traj.t0, traj.tf, 2000)
     assert np.min(_gap(traj, lead, everywhere, CFG)) > -1e-6
+
+
+def test_follower_terminal_departs_onto_the_headway_bound():
+    """Behind a leader that dips and recovers, the follower leaves the gap
+    boundary just before the exit and lands on the headway bound, cheaper
+    than riding the boundary through the exit (J = 4.537620)."""
+    a = 0.003
+    b = (400.0 - 410.0 - a / 6.0 * 41.0 ** 3) / (0.5 * 41.0 ** 2)
+    lead = PiecewiseTrajectory((CubicArc(t_start=0.0, t_end=41.0, a=a, b=b, c=10.0,
+                                         d=0.0),))
+    traj, sol = solve_safety(1.5, 12.0, lead, CFG, terminal="follower")
+    assert sol.tau2 == pytest.approx(40.844782, abs=1e-6)
+    assert traj.tf == pytest.approx(41.997660, abs=1e-6)
+    assert traj.tf == pytest.approx(lead.tf + (CFG.phi * traj.vf + CFG.delta0) / lead.vf,
+                                    abs=1e-9)
+    tail = traj.arcs[-1]
+    uf = float(tail.u(traj.tf))
+    H_tf = CFG.gamma - 0.5 * uf * uf + tail.a * traj.vf + sol.eta * lead.vf
+    assert abs(H_tf) < 1e-8
+    assert sol.eta == pytest.approx(uf / CFG.phi, abs=1e-12)
+    rep = audit(traj, CFG, leader=lead, terminal_mode="follower")
+    assert rep.ok, "\n".join(c.name for c in rep.failures())
+    J = traj.cost(CFG.gamma).objective
+    assert J == pytest.approx(4.537616, abs=1e-6)
+    assert J < 4.5376203
