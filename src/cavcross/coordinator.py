@@ -57,11 +57,13 @@ class Coordinator:
         self.cfg = cfg
         self.entries: list[QueueEntry] = []
         self._rng = np.random.default_rng(cfg.rng_seed)
+        self._ids: set = set()
 
     def enqueue(self, arrival: VehicleArrival) -> QueueEntry:
         arrival.validate(self.cfg)
-        if any(e.arrival.id == arrival.id for e in self.entries):
+        if arrival.id in self._ids:
             raise ConfigError(f"duplicate CAV id {arrival.id}")
+        self._ids.add(arrival.id)
         pos = len(self.entries)
         while pos > 0:
             prev = self.entries[pos - 1]
@@ -114,48 +116,185 @@ class Coordinator:
         return [e for e in self.entries if e.trajectory is not None]
 
 
+_BLOCKS = 64   # index blocks per follower grid in the rear-end bound
+
+
+@dataclass
+class _Passed:
+    """A solved CAV as the CAVs queued after it see it."""
+
+    entry: QueueEntry
+    extra: list          # stationary times of v and u over its arcs
+    v_low: float         # lowest speed: arc ends and v extrema
+    drop: float          # total downward jump of p at its arc junctions
+    p_exit: float        # p(tf); held with speed vf once it has left
+
+    @classmethod
+    def of(cls, entry: QueueEntry) -> "_Passed":
+        arcs = entry.trajectory.arcs
+        v_ext = [arc.v_extrema() for arc in arcs]
+        extra = [t for arc, vs in zip(arcs, v_ext) for t, _ in vs + arc.u_extrema()]
+        v_low = min([min(arc.v(arc.t_start), arc.v(arc.t_end)) for arc in arcs]
+                    + [v for vs in v_ext for _, v in vs])
+        drop = sum(max(0.0, a.p(b.t_start) - b.p(b.t_start))
+                   for a, b in zip(arcs, arcs[1:]))
+        return cls(entry, extra, float(v_low), float(drop),
+                   entry.trajectory.eval(entry.trajectory.tf)[0])
+
+    @property
+    def traj(self) -> PiecewiseTrajectory:
+        return self.entry.trajectory
+
+    @property
+    def cav(self) -> int:
+        return self.entry.arrival.id
+
+
+def _gap_grid(me: _Passed, t_lo: float, step: float) -> np.ndarray:
+    """The follower's sample times: ``step`` apart plus breakpoints and extrema."""
+    traj = me.traj
+    t_hi = traj.tf
+    n = max(int(np.ceil((t_hi - t_lo) / step)) + 1, 2)
+    ts = np.linspace(t_lo, t_hi, n)
+    ts = np.unique(np.concatenate(
+        [ts, np.array(traj.breakpoints), np.array(me.extra)]))
+    return ts[(ts >= t_lo) & (ts <= t_hi)]
+
+
+def _worst_gap(cfg: ScenarioConfig, ts, p, v, t_hi, lead: PiecewiseTrajectory):
+    """(t, gap) of the most negative sampled rear-end gap below -1e-6, or None."""
+    pj = lead.extended(t_hi + 1e-9).sample(ts)[0]
+    gap = pj - p - cfg.phi * v - cfg.delta0
+    worst = int(np.argmin(gap))
+    if gap[worst] < -1e-6:
+        return ts[worst], gap[worst]
+    return None
+
+
+def _cleared(leads: list, t0: float, tf: float, t_b, need) -> set:
+    """Ids of the predecessors a monotone bound proves the follower's gap for.
+
+    ``t_b`` holds the first time of each block of the follower's grid on
+    ``[t0, tf]`` and ``need`` its largest ``p + phi*v + delta0`` per block.
+    """
+    out = set()
+    gone = [j for j in leads if j.traj.tf <= t0]
+    if gone:
+        tf_j, p_j, vf_j = (np.array(col) for col in
+                           zip(*[(j.traj.tf, j.p_exit, j.traj.vf) for j in gone]))
+        held = p_j[:, None] + vf_j[:, None] * (t_b - tf_j[:, None])
+        ok = (vf_j >= 0.0) & np.all(held >= need, axis=1)
+        out.update(j.cav for j, c in zip(gone, ok) if c)
+    for j in leads:
+        if (j.traj.tf > t0 and j.v_low >= 0.0 and np.all(
+                j.traj.extended(tf + 1e-9).sample(t_b)[0] - j.drop >= need)):
+            out.add(j.cav)
+    return out
+
+
+def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dict:
+    """Rear-end violations of ``me`` behind each same-lane predecessor, by id."""
+    traj = me.traj
+    t0, tf = traj.t0, traj.tf
+    found = {}
+    for j in leads:
+        if j.traj.t0 > t0:
+            # a TIE_EPS tie queued j first: the pair keeps its own grid
+            ts = _gap_grid(me, j.traj.t0, step)
+            p, v, _ = traj.sample(ts)
+            found[j.cav] = _worst_gap(cfg, ts, p, v, tf, j.traj)
+    shared = [j for j in leads if j.traj.t0 <= t0]
+    if shared:
+        ts = _gap_grid(me, t0, step)
+        p, v, _ = traj.sample(ts)
+        starts = np.arange(0, ts.size, -(-ts.size // _BLOCKS))
+        need = np.maximum.reduceat(p + cfg.phi * v + cfg.delta0, starts)
+        cleared = _cleared(shared, t0, tf, ts[starts], need)
+        for j in shared:
+            if j.cav not in cleared:
+                found[j.cav] = _worst_gap(cfg, ts, p, v, tf, j.traj)
+    return {k: hit for k, hit in found.items() if hit is not None}
+
+
 def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
     """Audits every solved pair for rear-end, merging-zone, and order safety.
 
-    Rear-end gaps are sampled at ``step`` plus all arc breakpoints and
-    extrema; merging-zone entry must wait for a conflicting predecessor's
-    exit; exit order must follow the queue.
+    For each solved CAV i and each earlier solved CAV j, in queue order:
+
+    * order: i must not exit before j (``tf_i >= tf_j - 1e-9``);
+    * rear-end, j on i's road and lane: the gap ``P_j - p_i - phi*v_i -
+      delta0`` is sampled over ``[max(t0_i, t0_j), tf_i]`` at ``step`` plus
+      i's arc breakpoints and v and u extrema, where ``P_j`` is j's position
+      held at its exit speed once it has left; a sampled gap below -1e-6 is
+      a violation at the worst sample;
+    * lateral, j on a conflicting road: i's merging-zone entry
+      ``p_i = L`` must not come before j's exit.
+
+    The report lists the violations in that order and is the same as
+    checking every pair this way; the work is cut three ways.
+
+    Order and lateral are maxima: some j fails exactly when ``tf_i`` (or
+    i's zone entry, found once) lies more than 1e-9 before the latest exit
+    among all (or all conflicting) earlier solved CAVs. The pairs are
+    enumerated only for a CAV that fails one of the three checks.
+
+    Rear-end pairs with ``t0_j <= t0_i`` share the grid of the pair
+    definition, since its lower end is ``t0_i``; anything else is a
+    ``TIE_EPS`` tie and keeps its own grid. The grid, i's samples and its
+    extrema are built once per CAV. A pair is then skipped only when a
+    bound proves that no sampled gap can reach -1e-6. If j's speed is
+    nowhere negative (its minimum lies at an arc end or a v extremum, and
+    the exit speed holds afterwards), ``P_j`` is nondecreasing apart from
+    the junction jumps ``drop_j`` that trajectories tolerate. Cut i's grid
+    into ``_BLOCKS`` index blocks and let ``H_b`` be the largest
+    ``p_i + phi*v_i + delta0`` on block b. Then ``P_j(first time of b) -
+    drop_j >= H_b`` on every block puts every sampled gap at >= 0, up to
+    rounding some 1e-12 m, far inside the 1e-6 tolerance. A j that has
+    left by ``t0_i`` is affine over i's window, so one array expression
+    bounds all of them at once. A pair the bound does not clear runs the
+    sampled check itself on the shared grid, so the verdicts and the
+    reported (t, margin) are the ones the all-pairs check gives.
     """
     cfg = coord.cfg
     report = GuaranteeReport(ok=True)
-    solved = coord.solved()
-    for idx, entry in enumerate(solved):
-        qv = coord.view(entry)
-        traj = entry.trajectory
-        for other in solved[:idx]:
-            if other.index >= entry.index:
+    meets = {}     # (zone of j, zone of i) -> conflicts, asked once per pair of zones
+    exits = {}     # zone of every earlier CAV -> latest solved exit, None if none
+    lanes = {}     # (road, lane) -> earlier solved CAVs, in queue order
+    passed = []    # every earlier solved CAV, in queue order
+    latest = -np.inf
+    for entry in coord.entries:
+        arr, traj = entry.arrival, entry.trajectory
+        zone = (arr.road, arr.movement)
+        if traj is None:
+            # its zone is still classified against later CAVs, as the
+            # all-pairs view does, so a strict conflict map raises the same
+            exits.setdefault(zone, None)
+            continue
+        rivals = []
+        for other in exits:
+            if other[0] == arr.road:
                 continue
-            group = qv.groups.get(other.arrival.id)
-            jt = other.trajectory
-            # exit order follows the queue for every earlier CAV
-            if traj.tf < jt.tf - 1e-9:
-                report.add("order", entry.arrival.id, other.arrival.id,
-                           traj.tf, jt.tf - traj.tf)
-            if group == "lane":
-                t_lo = max(traj.t0, jt.t0)
-                t_hi = traj.tf
-                n = max(int(np.ceil((t_hi - t_lo) / step)) + 1, 2)
-                ts = np.linspace(t_lo, t_hi, n)
-                extra = [t for arc in traj.arcs for t, _ in
-                         arc.v_extrema() + arc.u_extrema()]
-                ts = np.unique(np.concatenate(
-                    [ts, np.array(traj.breakpoints), np.array(extra)]))
-                ts = ts[(ts >= t_lo) & (ts <= t_hi)]
-                p, v, _ = traj.sample(ts)
-                pj = jt.extended(t_hi + 1e-9).sample(ts)[0]
-                gap = pj - p - cfg.phi * v - cfg.delta0
-                worst = int(np.argmin(gap))
-                if gap[worst] < -1e-6:
-                    report.add("rear_end", entry.arrival.id, other.arrival.id,
-                               ts[worst], gap[worst])
-            elif group == "conflict":
-                t_m = traj.position_root(cfg.L)
-                if t_m < jt.tf - 1e-9:
-                    report.add("lateral", entry.arrival.id, other.arrival.id,
-                               t_m, jt.tf - t_m)
+            if (other, zone) not in meets:
+                meets[other, zone] = cfg.conflict.conflicts(other, zone)
+            if meets[other, zone] and exits[other] is not None:
+                rivals.append(exits[other])
+        t_m = traj.position_root(cfg.L) if rivals else None
+        me = _Passed.of(entry)
+        lane = (arr.road, arr.lane)
+        rear = _rear_end(cfg, me, lanes.get(lane, []), step)
+        if (traj.tf < latest - 1e-9 or rear
+                or (rivals and t_m < max(rivals) - 1e-9)):
+            for j in passed:
+                ja, tf_j = j.entry.arrival, j.traj.tf
+                if traj.tf < tf_j - 1e-9:
+                    report.add("order", arr.id, ja.id, traj.tf, tf_j - traj.tf)
+                if ja.road == arr.road:
+                    if ja.lane == arr.lane and ja.id in rear:
+                        report.add("rear_end", arr.id, ja.id, *rear[ja.id])
+                elif meets[(ja.road, ja.movement), zone] and t_m < tf_j - 1e-9:
+                    report.add("lateral", arr.id, ja.id, t_m, tf_j - t_m)
+        passed.append(me)
+        lanes.setdefault(lane, []).append(me)
+        latest = max(latest, traj.tf)
+        exits[zone] = traj.tf if exits.get(zone) is None else max(exits[zone], traj.tf)
     return report

@@ -364,21 +364,32 @@ class PiecewiseTrajectory:
         return float(arc.p(t)), float(arc.v(t)), float(arc.u(t))
 
     def sample(self, ts: np.ndarray):
-        """Vectorized (p, v, u) arrays over sorted sample times inside the domain."""
+        """Vectorized (p, v, u) arrays over sample times inside the domain.
+
+        Each arc evaluates the times from its start up to the next arc's
+        start (the first arc also takes times just before t0), on one
+        contiguous slice of the sorted times: no index or mask arrays the
+        size of ``ts``. Unsorted times are evaluated in sorted order and put
+        back in place.
+        """
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.t0 - _EDGE_TOL or ts.max() > self.tf + _EDGE_TOL):
             raise DomainError("sample times outside trajectory domain")
         p = np.empty_like(ts)
         v = np.empty_like(ts)
         u = np.empty_like(ts)
-        starts = np.array([a.t_start for a in self.arcs])
-        idx = np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, len(self.arcs) - 1)
-        for i, arc in enumerate(self.arcs):
-            m = idx == i
-            if np.any(m):
-                p[m] = arc.p(ts[m])
-                v[m] = arc.v(ts[m])
-                u[m] = arc.u(ts[m])
+        if np.any(ts[1:] < ts[:-1]):
+            order = np.argsort(ts, kind="stable")
+            p[order], v[order], u[order] = self.sample(ts[order])
+            return p, v, u
+        starts = np.array([a.t_start for a in self.arcs[1:]])
+        cuts = [0] + np.searchsorted(ts, starts, side="left").tolist() + [ts.size]
+        for arc, lo, hi in zip(self.arcs, cuts, cuts[1:]):
+            if hi > lo:
+                seg = ts[lo:hi]
+                p[lo:hi] = arc.p(seg)
+                v[lo:hi] = arc.v(seg)
+                u[lo:hi] = arc.u(seg)
         return p, v, u
 
     def cost(self, gamma: float) -> CostBreakdown:

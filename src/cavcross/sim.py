@@ -152,7 +152,7 @@ class CavRun:
 class SimResult:
     scenario: Scenario
     runs: list
-    guarantees: GuaranteeReport | None
+    guarantees: GuaranteeReport   # over the CAVs solved, all of them or those before a decline
     exit_code: int
     failure: str | None = None
     wall_time: float = 0.0
@@ -222,14 +222,14 @@ def run_simulation(scenario: Scenario) -> SimResult:
                 lateral_tm=lateral_tm, u_limits=arr.limits(cfg),
                 seed=scenario.run.seed)
 
-    guarantees = check_guarantees(coord) if code == 0 else None
+    guarantees = check_guarantees(coord)
     if code == 0:
         bad_audit = [r for r in runs if r.audit is not None and not r.audit.ok]
         if bad_audit:
             code = 2
             failure = "audit failed for CAV " + ", ".join(
                 str(r.arrival.id) for r in bad_audit)
-        elif guarantees is not None and not guarantees.ok:
+        elif not guarantees.ok:
             code = 2
             kinds = sorted({v[0] for v in guarantees.violations})
             failure = "crossing guarantees violated: " + ", ".join(kinds)
@@ -339,9 +339,12 @@ def write_audit(result: SimResult, path: str, label: str = "scenario"):
                        f"feasible={run.oracle.feasible}")
         out.append("")
     out.append("== crossing guarantees")
-    if result.guarantees is None:
-        out.append("not evaluated (solve failed)")
-    elif result.guarantees.ok:
+    declined = [r for r in result.runs if r.error is not None]
+    if declined:
+        n_solved = sum(r.trajectory is not None for r in result.runs)
+        out.append(f"evaluated on the {n_solved} CAVs solved before CAV "
+                   f"{declined[0].arrival.id} declined")
+    if result.guarantees.ok:
         out.append("all pairs ok (order, rear-end gap, merging-zone hold)")
     else:
         for kind, i, j, t, margin in result.guarantees.violations:

@@ -13,6 +13,7 @@ from cavcross.sim import load_scenario, run_simulation
 from cavcross.solver import (solve_lateral, solve_limits, solve_p0_free,
                              solve_p1_fixed, solve_safety)
 from cavcross.verifier import audit, oracle_eval_control, transcription_oracle
+from guarantee_reference import check_guarantees_all_pairs, coordinator_of
 from safety_reference import solve_safety_joint
 
 CFG = ScenarioConfig(v_max=20.0)
@@ -139,6 +140,11 @@ def test_c7_random_multi_vehicle_audits():
     n_clean = 0
     for seed in range(100):
         res = run_simulation(load_scenario(_random_scenario(seed)))
+        # declined or not, the solved CAVs get the fleet check, and it
+        # agrees with the all-pairs reference
+        ref = check_guarantees_all_pairs(coordinator_of(res))
+        assert (res.guarantees.ok, res.guarantees.violations) == \
+            (ref.ok, ref.violations), f"seed {seed}"
         if res.exit_code == 0:
             for run in res.runs:
                 assert run.audit is not None and run.audit.ok, (
@@ -149,6 +155,7 @@ def test_c7_random_multi_vehicle_audits():
             n_clean += 1
         else:
             assert res.failure  # declined with a reason, never silently
+            assert res.guarantees.ok, f"seed {seed}: {res.guarantees.violations}"
     wall = time.perf_counter() - t_a
     assert wall < 60.0
     assert n_clean >= 44  # unsupported constraint mixes may decline honestly

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cavcross.coordinator import Coordinator, check_guarantees
+from cavcross.coordinator import TIE_EPS, Coordinator, check_guarantees
 from cavcross.model import (ConfigError, CubicArc, PiecewiseTrajectory,
                             ScenarioConfig, VehicleArrival)
 from cavcross.solver import plan, solve_p1_fixed
+from guarantee_reference import check_guarantees_all_pairs
 
 CFG = ScenarioConfig(v_max=20.0)
 
@@ -17,6 +18,47 @@ def _cruise(t0, tf):
     v = 400.0 / (tf - t0)
     return PiecewiseTrajectory((CubicArc(t_start=t0, t_end=tf, a=0.0, b=0.0,
                                          c=v, d=-v * t0),))
+
+
+def _cubic(t0, v0, tf, vf):
+    """One cubic arc from (p, v) = (0, v0) at t0 to (400, vf) at tf."""
+    rows = [[t ** 3 / 6.0, t ** 2 / 2.0, t, 1.0] for t in (t0, tf)]
+    rates = [[t ** 2 / 2.0, t, 1.0, 0.0] for t in (t0, tf)]
+    a, b, c, d = np.linalg.solve(np.array([rows[0], rates[0], rows[1], rates[1]]),
+                                 [0.0, v0, 400.0, vf])
+    return PiecewiseTrajectory((CubicArc(t_start=t0, t_end=tf, a=a, b=b, c=c, d=d),))
+
+
+def _lane_queue(specs):
+    """Single-lane queue of closed-form cubics, one (t0, v0, tf, vf) each."""
+    co = Coordinator(CFG)
+    for i, (t0, v0, tf, vf) in enumerate(specs, start=1):
+        entry = co.enqueue(_arr(i, t0, v0=v0))
+        co.attach(entry, _cubic(t0, v0, tf, vf))
+    return co
+
+
+def _checked(co):
+    """check_guarantees, asserted equal to the all-pairs reference."""
+    rep = check_guarantees(co)
+    ref = check_guarantees_all_pairs(co)
+    assert (rep.ok, rep.violations) == (ref.ok, ref.violations)
+    return rep
+
+
+@pytest.fixture
+def big_samples(monkeypatch):
+    """Sizes of the PiecewiseTrajectory.sample calls over more than 1,000 points."""
+    sizes = []
+    original = PiecewiseTrajectory.sample
+
+    def counted(self, ts):
+        if np.size(ts) > 1000:
+            sizes.append(np.size(ts))
+        return original(self, ts)
+
+    monkeypatch.setattr(PiecewiseTrajectory, "sample", counted)
+    return sizes
 
 
 def test_queue_orders_by_entry_time():
@@ -92,7 +134,7 @@ def test_guarantees_pass_for_solved_queue():
     qv = co.view(tail)
     t2, _ = plan(tail.arrival, CFG, leader=qv.k.trajectory)
     co.attach(tail, t2)
-    rep = check_guarantees(co)
+    rep = _checked(co)
     assert rep.ok
     assert rep.violations == []
 
@@ -103,7 +145,7 @@ def test_guarantees_flag_fifo_inversion():
     b = co.enqueue(_arr(2, 2.0, road="E"))
     co.attach(a, _cruise(0.0, 40.0))
     co.attach(b, _cruise(2.0, 36.0))   # later arrival exits first
-    rep = check_guarantees(co)
+    rep = _checked(co)
     assert not rep.ok
     kinds = {v[0] for v in rep.violations}
     assert "order" in kinds
@@ -115,7 +157,7 @@ def test_guarantees_flag_rear_end_gap():
     b = co.enqueue(_arr(2, 1.0))
     co.attach(a, _cruise(0.0, 40.0))          # 10 m/s
     co.attach(b, _cruise(1.0, 34.0))          # faster, same lane: tailgates
-    rep = check_guarantees(co)
+    rep = _checked(co)
     assert any(v[0] == "rear_end" for v in rep.violations)
 
 
@@ -127,7 +169,7 @@ def test_guarantees_flag_merging_zone_overlap():
     # enters the zone around t=34.3 < 40: conflicting overlap, but exits
     # later so the order check alone stays silent
     co.attach(b, _cruise(1.0, 41.0))
-    rep = check_guarantees(co)
+    rep = _checked(co)
     kinds = {v[0] for v in rep.violations}
     assert kinds == {"lateral"}
 
@@ -138,5 +180,54 @@ def test_opposite_road_does_not_require_zone_exclusivity():
     b = co.enqueue(_arr(2, 1.0, road="S"))
     co.attach(a, _cruise(0.0, 40.0))
     co.attach(b, _cruise(1.0, 41.0))   # same timing as the failing case above
+    rep = _checked(co)
+    assert rep.ok
+
+
+def test_guarantees_match_reference_past_a_crawl_exit():
+    # CAV 1 leaves at a crawl and the faster exits of 2 and 3 overtake its
+    # held tail; CAV 4 enters after 1 and 2 have left, so the affine bound
+    # over exited predecessors must let the (4, 1) pair through to sampling
+    co = _lane_queue([(0.0, 10.0, 45.0, 0.2), (3.0, 10.0, 47.0, 14.0),
+                      (6.0, 10.0, 50.0, 14.0), (48.0, 12.0, 80.0, 12.0)])
+    rep = _checked(co)
+    assert [(v[0], v[1], v[2]) for v in rep.violations] == [
+        ("rear_end", 2, 1), ("rear_end", 3, 1), ("rear_end", 4, 1)]
+
+
+def test_guarantees_match_reference_behind_negative_speed(big_samples):
+    # the leader's forced profile backs up near t = 8, so its position is
+    # not monotone and no bound may skip the pair, violated or not
+    lead = _cubic(0.0, 2.0, 40.0, 40.0)
+    assert lead.sample(np.linspace(0.0, 40.0, 401))[1].min() < 0.0
+    rep = _checked(_lane_queue([(0.0, 2.0, 40.0, 40.0), (6.0, 10.0, 48.0, 10.0)]))
+    assert [v[0] for v in rep.violations] == ["rear_end"]
+    co = _lane_queue([(0.0, 2.0, 40.0, 40.0), (35.0, 10.0, 75.0, 10.0)])
+    big_samples.clear()
+    assert check_guarantees(co).ok
+    assert len(big_samples) == 2    # the follower's grid, then the pair's gap
+    assert _checked(co).ok
+
+
+def test_guarantees_match_reference_on_a_tie():
+    # seed 2 queues CAV 2 ahead of CAV 1 though it entered TIE_EPS/2 later,
+    # so the (1, 2) pair samples its own grid from CAV 2's entry
+    co = Coordinator(ScenarioConfig(v_max=20.0, rng_seed=2))
+    for i, t0, tf in ((1, 5.0, 45.2), (2, 5.0 + TIE_EPS / 2, 45.0), (3, 9.0, 49.0)):
+        co.attach(co.enqueue(_arr(i, t0)), _cruise(t0, tf))
+    assert [e.arrival.id for e in co.entries] == [2, 1, 3]
+    rep = _checked(co)
+    assert [(v[0], v[1], v[2]) for v in rep.violations] == [("rear_end", 1, 2)]
+    assert rep.violations[0][3] >= 5.0 + TIE_EPS / 2
+
+
+def test_guarantee_work_is_linear_in_queue_length(big_samples):
+    # 300 cruises 2 s apart: the all-pairs check would sample 44,850 pairs
+    # over their full grids; here each CAV's grid is sampled once
+    n = 300
+    co = Coordinator(CFG)
+    for i in range(n):
+        co.attach(co.enqueue(_arr(i + 1, 2.0 * i)), _cruise(2.0 * i, 2.0 * i + 40.0))
     rep = check_guarantees(co)
     assert rep.ok
+    assert len(big_samples) <= 2 * n

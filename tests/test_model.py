@@ -126,6 +126,10 @@ def test_trajectory_eval_sample_and_cost():
         assert math.isclose(p[i], pe, abs_tol=1e-12)
         assert math.isclose(v[i], ve, abs_tol=1e-12)
         assert math.isclose(u[i], ue, abs_tol=1e-12)
+    # any order of the same times gives the same values, time by time
+    shuffled = np.random.default_rng(0).permutation(ts)
+    for got, want in zip(traj.sample(shuffled), traj.sample(np.sort(shuffled))):
+        assert np.array_equal(got, want[np.argsort(np.argsort(shuffled))])
     cb = traj.cost(0.1)
     assert cb.travel_time == pytest.approx(12.0)
     e_ref = quad(lambda t: 0.5 * traj.eval(t)[2] ** 2, 0.0, 12.0, limit=200)[0]

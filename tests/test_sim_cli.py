@@ -10,6 +10,8 @@ from cavcross.model import ConfigError, VehicleArrival
 from cavcross.sim import (_forced_trajectory, apply_overrides, load_scenario,
                           run_simulation, write_outputs)
 from cavcross import cli
+from guarantee_reference import check_guarantees_all_pairs, coordinator_of
+from test_acceptance import _random_scenario
 
 
 def _base():
@@ -99,6 +101,8 @@ def test_every_fixture_solves_clean(name):
     assert result.guarantees.ok
     assert all(r.audit.ok for r in result.runs)
     assert elapsed < 1.0
+    ref = check_guarantees_all_pairs(coordinator_of(result))
+    assert (result.guarantees.ok, result.guarantees.violations) == (ref.ok, ref.violations)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -150,6 +154,25 @@ def test_infeasible_run_reports_exit_two(tmp_path):
     assert result.failure
     paths = write_outputs(result, str(tmp_path))
     assert "violation" in open(paths["audit"]).read()
+
+
+def test_declined_scenario_checks_the_solved_vehicles(tmp_path):
+    # c7 seed 5 solves six CAVs, then CAV 8 declines
+    result = run_simulation(load_scenario(_random_scenario(5)))
+    assert result.exit_code == 2
+    assert result.failure.endswith("combination safety+lateral not supported")
+    solved = [r for r in result.runs if r.trajectory is not None]
+    assert len(solved) == 6
+    coord = coordinator_of(result)
+    assert len(coord.solved()) == 6
+    ref = check_guarantees_all_pairs(coord)
+    assert (result.guarantees.ok, result.guarantees.violations) == (ref.ok, ref.violations)
+    assert result.guarantees.ok
+    text = open(write_outputs(result, str(tmp_path))["audit"]).read()
+    assert "evaluated on the 6 CAVs solved before CAV 8 declined" in text
+    assert "all pairs ok" in text
+    assert "not evaluated" not in text
+    assert "verdict: FAIL (CAV 8: InfeasibleProblem" in text
 
 
 # ---------------------------------------------------------------------------
