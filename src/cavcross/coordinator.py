@@ -124,7 +124,6 @@ class _Passed:
     """A solved CAV as the CAVs queued after it see it."""
 
     entry: QueueEntry
-    extra: list          # stationary times of v and u over its arcs
     v_low: float         # lowest speed: arc ends and v extrema
     drop: float          # total downward jump of p at its arc junctions
     p_exit: float        # p(tf); held with speed vf once it has left
@@ -132,13 +131,11 @@ class _Passed:
     @classmethod
     def of(cls, entry: QueueEntry) -> "_Passed":
         arcs = entry.trajectory.arcs
-        v_ext = [arc.v_extrema() for arc in arcs]
-        extra = [t for arc, vs in zip(arcs, v_ext) for t, _ in vs + arc.u_extrema()]
         v_low = min([min(arc.v(arc.t_start), arc.v(arc.t_end)) for arc in arcs]
-                    + [v for vs in v_ext for _, v in vs])
+                    + [v for arc in arcs for _, v in arc.v_extrema()])
         drop = sum(max(0.0, a.p(b.t_start) - b.p(b.t_start))
                    for a, b in zip(arcs, arcs[1:]))
-        return cls(entry, extra, float(v_low), float(drop),
+        return cls(entry, float(v_low), float(drop),
                    entry.trajectory.eval(entry.trajectory.tf)[0])
 
     @property
@@ -148,17 +145,6 @@ class _Passed:
     @property
     def cav(self) -> int:
         return self.entry.arrival.id
-
-
-def _gap_grid(me: _Passed, t_lo: float, step: float) -> np.ndarray:
-    """The follower's sample times: ``step`` apart plus breakpoints and extrema."""
-    traj = me.traj
-    t_hi = traj.tf
-    n = max(int(np.ceil((t_hi - t_lo) / step)) + 1, 2)
-    ts = np.linspace(t_lo, t_hi, n)
-    ts = np.unique(np.concatenate(
-        [ts, np.array(traj.breakpoints), np.array(me.extra)]))
-    return ts[(ts >= t_lo) & (ts <= t_hi)]
 
 
 def _worst_gap(cfg: ScenarioConfig, ts, p, v, t_hi, lead: PiecewiseTrajectory):
@@ -200,12 +186,12 @@ def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dic
     for j in leads:
         if j.traj.t0 > t0:
             # a TIE_EPS tie queued j first: the pair keeps its own grid
-            ts = _gap_grid(me, j.traj.t0, step)
+            ts = traj.dense_times(step, j.traj.t0)
             p, v, _ = traj.sample(ts)
             found[j.cav] = _worst_gap(cfg, ts, p, v, tf, j.traj)
     shared = [j for j in leads if j.traj.t0 <= t0]
     if shared:
-        ts = _gap_grid(me, t0, step)
+        ts = traj.dense_times(step, t0)
         p, v, _ = traj.sample(ts)
         starts = np.arange(0, ts.size, -(-ts.size // _BLOCKS))
         need = np.maximum.reduceat(p + cfg.phi * v + cfg.delta0, starts)

@@ -171,6 +171,8 @@ class ExpTrackArc(Arc):
     phi: float
     _rv: tuple = field(init=False, repr=False, compare=False)
     _rp: tuple = field(init=False, repr=False, compare=False)
+    _v_ext: tuple | None = field(init=False, repr=False, compare=False)
+    _u_ext: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -181,6 +183,9 @@ class ExpTrackArc(Arc):
         rp = _exp_antideriv(rv, al) if rv else ()
         object.__setattr__(self, "_rv", rv)
         object.__setattr__(self, "_rp", rp)
+        # stationary points, found on first request (see v_extrema)
+        object.__setattr__(self, "_v_ext", None)
+        object.__setattr__(self, "_u_ext", None)
 
     @property
     def c_e(self) -> float:
@@ -231,15 +236,31 @@ class ExpTrackArc(Arc):
         return [t for t in ts if self.t_start + _EDGE_TOL < t < self.t_end - _EDGE_TOL]
 
     def v_extrema(self):
-        return [(t, self.v(t)) for t in self._interior_roots(self.u)]
+        """Interior stationary points of v, scanned for once per arc.
+
+        The plan, the audit and the fleet check all ask for the extrema of
+        the same final arcs; the scan runs on the first request and later
+        calls get a fresh copy of the stored list.
+        """
+        if self._v_ext is None:
+            object.__setattr__(self, "_v_ext", tuple(
+                (t, self.v(t)) for t in self._interior_roots(self.u)))
+        return list(self._v_ext)
 
     def u_extrema(self):
-        dpoly = (self.a,)
-        damp = tuple(x - y for x, y in
-                     zip(_pder(self.amp) + (0.0,) * len(self.amp),
-                         tuple(x / self.phi for x in self.amp)))
-        du = lambda t: _pval(dpoly, t) + (_pval(damp, t) * self._exp(t) if self.amp else 0.0)
-        return [(t, self.u(t)) for t in self._interior_roots(du)]
+        """Interior stationary points of u, scanned for once per arc."""
+        if self._u_ext is None:
+            dpoly = (self.a,)
+            damp = tuple(x - y for x, y in
+                         zip(_pder(self.amp) + (0.0,) * len(self.amp),
+                             tuple(x / self.phi for x in self.amp)))
+
+            def du(t):
+                return _pval(dpoly, t) + (_pval(damp, t) * self._exp(t) if self.amp else 0.0)
+
+            object.__setattr__(self, "_u_ext", tuple(
+                (t, self.u(t)) for t in self._interior_roots(du)))
+        return list(self._u_ext)
 
 
 @dataclass(frozen=True)
@@ -316,10 +337,15 @@ class PiecewiseTrajectory:
     """
 
     arcs: tuple
+    _starts: tuple = field(init=False, repr=False, compare=False)
+    _start_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.arcs:
             raise ConfigError("trajectory needs at least one arc")
+        starts = tuple(a.t_start for a in self.arcs)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_start_arr", np.array(starts))
         prev = None
         for arc in self.arcs:
             if prev is not None:
@@ -353,10 +379,18 @@ class PiecewiseTrajectory:
     def arc_at(self, t: float) -> Arc:
         if not (self.t0 - _EDGE_TOL <= t <= self.tf + _EDGE_TOL):
             raise DomainError(f"t={t} outside [{self.t0}, {self.tf}]")
-        starts = [a.t_start for a in self.arcs]
-        i = bisect.bisect_right(starts, t) - 1
+        i = bisect.bisect_right(self._starts, t) - 1
         i = max(0, min(i, len(self.arcs) - 1))
         return self.arcs[i]
+
+    def arc_indices(self, ts: np.ndarray) -> np.ndarray:
+        """Index of the arc ``arc_at`` picks at each of ``ts``, in one pass.
+
+        That is the last arc starting at or before t, so a zero-length arc
+        gives way to the arc after it; no domain check.
+        """
+        i = np.searchsorted(self._start_arr, ts, side="right") - 1
+        return np.clip(i, 0, len(self.arcs) - 1)
 
     def eval(self, t: float):
         """(p, v, u) at time t. Raises DomainError outside [t0, tf]."""
@@ -382,8 +416,8 @@ class PiecewiseTrajectory:
             order = np.argsort(ts, kind="stable")
             p[order], v[order], u[order] = self.sample(ts[order])
             return p, v, u
-        starts = np.array([a.t_start for a in self.arcs[1:]])
-        cuts = [0] + np.searchsorted(ts, starts, side="left").tolist() + [ts.size]
+        cuts = ([0] + np.searchsorted(ts, self._start_arr[1:], side="left").tolist()
+                + [ts.size])
         for arc, lo, hi in zip(self.arcs, cuts, cuts[1:]):
             if hi > lo:
                 seg = ts[lo:hi]
@@ -391,6 +425,32 @@ class PiecewiseTrajectory:
                 v[lo:hi] = arc.v(seg)
                 u[lo:hi] = arc.u(seg)
         return p, v, u
+
+    def dense_times(self, step: float, lo: float | None = None) -> np.ndarray:
+        """Sorted unique times ``step`` apart plus breakpoints and arc extrema.
+
+        The grid is ``ceil((tf - lo)/step) + 1`` (at least 2) evenly spaced
+        times from ``lo`` (default t0) to tf, joined by every breakpoint and
+        every interior v and u extremum of the arcs; with ``lo`` given, only
+        the times in ``[lo, tf]`` are kept. This equals ``np.unique`` of
+        the concatenation, but the few extra times are merged into the
+        already increasing grid instead of sorting the whole array again.
+        """
+        t_lo = self.t0 if lo is None else lo
+        n = max(int(math.ceil((self.tf - t_lo) / step)) + 1, 2)
+        grid = np.linspace(t_lo, self.tf, n)
+        extra = np.array(self.breakpoints + tuple(
+            t for arc in self.arcs for t, _ in arc.v_extrema() + arc.u_extrema()))
+        if not np.all(grid[1:] > grid[:-1]):
+            # an empty or zero-width window: nothing to merge into
+            ts = np.unique(np.concatenate([grid, extra]))
+            return ts if lo is None else ts[(ts >= t_lo) & (ts <= self.tf)]
+        extra = np.unique(extra)
+        if lo is not None:
+            extra = extra[(extra >= t_lo) & (extra <= self.tf)]
+        at = np.searchsorted(grid, extra)
+        new = grid[np.minimum(at, n - 1)] != extra
+        return np.insert(grid, at[new], extra[new])
 
     def cost(self, gamma: float) -> CostBreakdown:
         """Objective J = gamma*(tf - t0) + integral of 0.5 u^2, arc by arc in closed form."""

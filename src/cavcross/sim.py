@@ -247,14 +247,20 @@ _ARC_KIND = {CubicArc: "cubic", ExpTrackArc: "track", SatArc: "sat",
 
 
 def _sample_times(traj: PiecewiseTrajectory, step: float) -> np.ndarray:
+    """Times ``step`` apart from t0, less those within 1e-9 of a breakpoint,
+    plus the breakpoints."""
     bp = np.unique(np.array(traj.breakpoints))
     n = int(np.floor((traj.tf - traj.t0) / step + 1e-9))
     grid = traj.t0 + step * np.arange(n + 1)
-    keep = np.min(np.abs(grid[:, None] - bp[None, :]), axis=1) > 1e-9
-    return np.sort(np.concatenate([grid[keep], bp]))
+    # the nearest breakpoint is one of the two that bracket each grid time
+    at = np.searchsorted(bp, grid)
+    near = np.minimum(np.abs(grid - bp[np.maximum(at - 1, 0)]),
+                      np.abs(grid - bp[np.minimum(at, bp.size - 1)]))
+    return np.sort(np.concatenate([grid[near > 1e-9], bp]))
 
 
 def write_trajectories(result: SimResult, path: str):
+    """One row per sample time; ``arc_kind`` is the arc in force at t."""
     step = result.scenario.run.sample_step
     lines = ["t,p,v,u,arc_kind,cav_id"]
     for run in result.runs:
@@ -263,10 +269,10 @@ def write_trajectories(result: SimResult, path: str):
             continue
         ts = _sample_times(traj, step)
         p, v, u = traj.sample(ts)
-        for i, t in enumerate(ts):
-            kind = _ARC_KIND[type(traj.arc_at(float(t)))]
-            lines.append(f"{t:.6f},{p[i]:.6f},{v[i]:.6f},{u[i]:.9f},"
-                         f"{kind},{run.arrival.id}")
+        tails = [f"{_ARC_KIND[type(arc)]},{run.arrival.id}" for arc in traj.arcs]
+        lines.extend(f"{t:.6f},{pi:.6f},{vi:.6f},{ui:.9f},{tails[k]}"
+                     for t, pi, vi, ui, k in zip(ts.tolist(), p.tolist(), v.tolist(),
+                                                 u.tolist(), traj.arc_indices(ts).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -930,10 +930,7 @@ def scan_violations(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *,
     (control, speed, rear_end, lateral).
     """
     u_lo, u_hi = u_limits if u_limits is not None else (cfg.u_min, cfg.u_max)
-    n = max(int(math.ceil((traj.tf - traj.t0) / step)) + 1, 2)
-    ts = np.linspace(traj.t0, traj.tf, n)
-    extra = [t for a in traj.arcs for t, _ in a.v_extrema() + a.u_extrema()]
-    ts = np.unique(np.concatenate([ts, np.array(extra), np.array(traj.breakpoints)]))
+    ts = traj.dense_times(step)
     p, v, u = traj.sample(ts)
 
     found = []

@@ -61,20 +61,12 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _sample_grid(traj: PiecewiseTrajectory, step=1e-3):
-    n = max(int(math.ceil((traj.tf - traj.t0) / step)) + 1, 2)
-    ts = np.linspace(traj.t0, traj.tf, n)
-    extra = [t for arc in traj.arcs for t, _ in arc.v_extrema() + arc.u_extrema()]
-    ts = np.unique(np.concatenate([ts, np.array(traj.breakpoints), np.array(extra)]))
-    return ts
-
-
 def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
           lateral_tm=None, u_limits=None, terminal_mode="free", step=1e-3) -> AuditReport:
     """Full constraint and invariant audit of one solved trajectory."""
     rep = AuditReport()
     u_lo, u_hi = u_limits if u_limits is not None else (cfg.u_min, cfg.u_max)
-    ts = _sample_grid(traj, step)
+    ts = traj.dense_times(step)
     p, v, u = traj.sample(ts)
 
     def record_max(name, values, tol):

@@ -1,0 +1,230 @@
+"""Sample grids, cached arc extrema and the trajectory writer.
+
+``PiecewiseTrajectory.dense_times`` must give the plain ``np.unique`` grid,
+gap-ride arcs must scan for their extrema once, and ``write_trajectories``
+must write the bytes of the per-row reference writer.
+"""
+import numpy as np
+import pytest
+
+from cavcross.coordinator import TIE_EPS, GuaranteeReport
+from cavcross.fixtures import FIXTURES, fixture
+from cavcross.model import (CruiseArc, CubicArc, ExpTrackArc, PiecewiseTrajectory,
+                            SatArc, ScenarioConfig, VehicleArrival)
+from cavcross.sim import (CavRun, RunSettings, Scenario, SimResult, load_scenario,
+                          run_simulation, write_trajectories)
+from test_acceptance import _random_scenario
+from writer_reference import write_trajectories_per_row
+
+
+@pytest.fixture(scope="module")
+def results():
+    """The six fixtures and the 100 c7 scenarios, run once for this module."""
+    out = [(name, run_simulation(load_scenario(fixture(name))))
+           for name in sorted(FIXTURES)]
+    out += [(f"c7 seed {seed}", run_simulation(load_scenario(_random_scenario(seed))))
+            for seed in range(100)]
+    return out
+
+
+def _dense_reference(traj, step, lo=None):
+    """``dense_times`` as np.unique of the concatenated times."""
+    t_lo = traj.t0 if lo is None else lo
+    n = max(int(np.ceil((traj.tf - t_lo) / step)) + 1, 2)
+    extra = [t for arc in traj.arcs for t, _ in arc.v_extrema() + arc.u_extrema()]
+    ts = np.unique(np.concatenate([np.linspace(t_lo, traj.tf, n),
+                                   np.array(traj.breakpoints), np.array(extra)]))
+    return ts if lo is None else ts[(ts >= t_lo) & (ts <= traj.tf)]
+
+
+def _same_grid(traj, step, lo=None):
+    got = traj.dense_times(step) if lo is None else traj.dense_times(step, lo)
+    want = _dense_reference(traj, step, lo)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    return got
+
+
+def _bytes_both(result, tmp_path):
+    """(new writer's bytes, reference writer's bytes) for one result."""
+    write_trajectories(result, str(tmp_path / "new.csv"))
+    write_trajectories_per_row(result, str(tmp_path / "ref.csv"))
+    return ((tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes())
+
+
+def _result_of(trajs, step=0.05):
+    """A SimResult holding hand-built trajectories, one CAV each."""
+    cfg = ScenarioConfig(v_max=30.0)
+    runs = []
+    for i, traj in enumerate(trajs, start=1):
+        arr = VehicleArrival(id=i, t0=traj.t0, v0=float(traj.arcs[0].v(traj.t0)), road="N")
+        runs.append(CavRun(arrival=arr, index=i, trajectory=traj))
+    scenario = Scenario(config=cfg, arrivals=[r.arrival for r in runs],
+                        run=RunSettings(sample_step=step))
+    return SimResult(scenario=scenario, runs=runs, guarantees=GuaranteeReport(ok=True),
+                     exit_code=0)
+
+
+def _cubic_then(t_split, tail, t_end):
+    """A cubic accelerating from 10 m/s, then ``tail`` ('sat', 'cruise', 'zero')."""
+    head = CubicArc(t_start=0.0, t_end=t_split, a=0.0, b=0.2, c=10.0, d=0.0)
+    v, p = head.v(t_split), head.p(t_split)
+    if tail == "zero":
+        mid = CruiseArc(t_start=t_split, t_end=t_split, v0=v, p_start=p)
+        end = SatArc(t_start=t_split, t_end=t_end, u0=0.2, v_start=v, p_start=p)
+        return PiecewiseTrajectory((head, mid, end))
+    if tail == "sat":
+        return PiecewiseTrajectory((head, SatArc(t_start=t_split, t_end=t_end, u0=-1e-12,
+                                                 v_start=v, p_start=p)))
+    return PiecewiseTrajectory((head, CruiseArc(t_start=t_split, t_end=t_end, v0=v,
+                                                p_start=p)))
+
+
+def _dipping_track():
+    """A gap-ride arc with two interior v extrema and one u minimum."""
+    return ExpTrackArc(t_start=0.0, t_end=20.0, a=0.02, b=-0.3, c=10.0, d=0.0,
+                       amp=(0.5,), phi=2.0)
+
+
+# ---------------------------------------------------------------------------
+# writer
+# ---------------------------------------------------------------------------
+
+def test_writer_matches_reference_on_fixtures_and_c7(results, tmp_path):
+    declined_rows = 0
+    for name, result in results:
+        new, ref = _bytes_both(result, tmp_path)
+        assert new == ref, name
+        if result.exit_code != 0:
+            declined_rows += new.count(b"\n") - 1
+    # the solved CAVs of declined c7 scenarios are written too
+    assert declined_rows > 0
+
+
+def test_writer_matches_reference_on_hand_built_trajectories(tmp_path):
+    trajs = [
+        _cubic_then(5.0, "zero", 9.0),      # zero-length arc at t=5
+        _cubic_then(2.5, "cruise", 7.25),   # arc starts on the 0.05 s grid
+        _cubic_then(3.0, "sat", 6.0),       # u = -1e-12 prints as -0.000000000
+        PiecewiseTrajectory((_dipping_track(),)),
+    ]
+    for step in (0.05, 0.25, 0.5):
+        result = _result_of(trajs, step)
+        new, ref = _bytes_both(result, tmp_path)
+        assert new == ref, step
+        rows = new.decode().splitlines()
+        assert ",-0.000000000,sat,3" in new.decode()
+        # the zero-length arc gives way to the arc after it at its start
+        assert "5.000000,52.500000,11.000000,0.200000000,sat,1" in rows
+        assert "2.500000,25.625000,10.500000,0.000000000,cruise,2" in rows
+
+
+def test_writer_makes_no_arc_at_calls(monkeypatch, tmp_path):
+    calls = []
+    original = PiecewiseTrajectory.arc_at
+
+    def counted(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(PiecewiseTrajectory, "arc_at", counted)
+    result = run_simulation(load_scenario(fixture("fig5_safety_exit")))
+    calls.clear()
+    write_trajectories(result, str(tmp_path / "new.csv"))
+    assert calls == []
+    write_trajectories_per_row(result, str(tmp_path / "ref.csv"))
+    assert len(calls) == (tmp_path / "ref.csv").read_text().count("\n") - 1
+
+
+def test_arc_indices_follow_arc_at():
+    traj = _cubic_then(5.0, "zero", 9.0)
+    ts = np.array([0.0, 2.0, 5.0 - 1e-12, 5.0, 5.0 + 1e-12, 9.0])
+    assert traj.arc_indices(ts).tolist() == [
+        traj.arcs.index(traj.arc_at(t)) for t in ts.tolist()]
+    assert traj.arc_indices(ts).tolist() == [0, 0, 0, 2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# dense grid
+# ---------------------------------------------------------------------------
+
+def test_dense_times_match_unique_on_fixtures_and_c7(results):
+    n = 0
+    for name, result in results:
+        for run in result.runs:
+            traj = run.trajectory
+            if traj is None:
+                continue
+            _same_grid(traj, 1e-3)
+            _same_grid(traj, 1e-3, traj.t0)
+            _same_grid(traj, 1e-3, traj.t0 + TIE_EPS)
+            _same_grid(traj, 1e-3, 0.5 * (traj.t0 + traj.tf))
+            n += 1
+    assert n > 400
+
+
+def test_dense_times_edge_cases():
+    # breakpoints on grid points, a zero-length arc (duplicate breakpoints)
+    zero = _cubic_then(5.0, "zero", 9.0)
+    ts = _same_grid(zero, 0.25)
+    assert ts.tolist() == (0.25 * np.arange(37)).tolist()
+    # extras off the grid, some outside [lo, tf] when lo is given
+    track = PiecewiseTrajectory((_dipping_track(),))
+    assert len(track.arcs[0].v_extrema()) == 2 and len(track.arcs[0].u_extrema()) == 1
+    for lo in (None, 0.0, 3.3, 12.0, 19.999):
+        _same_grid(track, 0.3, lo)
+        _same_grid(track, 1e-3, lo)
+    # a last arc ending 5e-10 s before it starts puts a breakpoint past tf
+    head = CubicArc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0)
+    short = PiecewiseTrajectory((head, CruiseArc(t_start=5.0, t_end=5.0 - 5e-10,
+                                                 v0=head.v(5.0), p_start=head.p(5.0))))
+    assert short.breakpoints[-2] > short.tf
+    for lo in (None, 0.0, 2.0):
+        _same_grid(short, 1e-3, lo)
+    # no extras beyond the grid's own ends
+    plain = PiecewiseTrajectory((CubicArc(t_start=1.0, t_end=4.0, a=0.0, b=0.1,
+                                          c=10.0, d=0.0),))
+    assert _same_grid(plain, 0.5).tolist() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    # a TIE_EPS tie, a zero-width window at tf and an empty one past it
+    for lo in (1.0 + TIE_EPS, 4.0 - TIE_EPS, 4.0, 4.0 + TIE_EPS):
+        _same_grid(plain, 1e-3, lo)
+        _same_grid(zero, 1e-3, lo)
+    assert plain.dense_times(1e-3, 4.0).tolist() == [4.0]
+    assert plain.dense_times(1e-3, 4.0 + TIE_EPS).size == 0
+
+
+# ---------------------------------------------------------------------------
+# extrema
+# ---------------------------------------------------------------------------
+
+def test_gap_ride_extrema_scanned_once_per_arc(monkeypatch):
+    scans = {}
+    held = []     # keeps every scanned arc alive so its id stays unique
+    original = ExpTrackArc._interior_roots
+
+    def counted(self, fn):
+        held.append(self)
+        key = (id(self), fn.__name__)
+        scans[key] = scans.get(key, 0) + 1
+        return original(self, fn)
+
+    monkeypatch.setattr(ExpTrackArc, "_interior_roots", counted)
+    result = run_simulation(load_scenario(fixture("fig3_safety_ride")))
+    assert result.exit_code == 0
+    rides = [arc for run in result.runs for arc in run.trajectory.arcs
+             if isinstance(arc, ExpTrackArc)]
+    assert rides
+    for arc in rides:
+        # the plan's scan, the audit and the fleet check all asked
+        assert scans[id(arc), "u"] == 1 and scans[id(arc), "du"] == 1
+    assert max(scans.values()) == 1
+
+
+def test_extrema_lists_are_fresh_copies():
+    arc = _dipping_track()
+    v_ext, u_ext = list(arc.v_extrema()), list(arc.u_extrema())
+    assert len(v_ext) == 2 and len(u_ext) == 1
+    arc.v_extrema().clear()
+    arc.u_extrema().append((0.0, 0.0))
+    got = arc.v_extrema()
+    got[0] = (1.0, 1.0)
+    assert arc.v_extrema() == v_ext and arc.u_extrema() == u_ext
