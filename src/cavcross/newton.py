@@ -105,17 +105,19 @@ def solve_system(fn, starts, tol=TOL, max_iter=MAX_ITER) -> NewtonResult:
     return best
 
 
-def bracket_roots(fn, grid) -> list:
+def bracket_roots(fn, grid, values=None) -> list:
     """Every root of the scalar ``fn`` on ``grid``, in grid order.
 
-    ``fn`` is evaluated once at each grid point. A point where it is exactly
-    zero is a root; a neighbouring pair of opposite signs brackets one, which
-    is refined until the bracket is a few ulps wide. A pair touching a NaN is
-    skipped, so callers mark points where ``fn`` is undefined with NaN, and a
-    bracket whose interior evaluates to NaN gives no root.
+    ``fn`` is evaluated once at each grid point, unless the caller passes
+    those values as ``values`` (from one vectorized evaluation); it is then
+    called only inside brackets. A point where it is exactly zero is a root;
+    a neighbouring pair of opposite signs brackets one, which is refined
+    until the bracket is a few ulps wide. A pair touching a NaN is skipped,
+    so callers mark points where ``fn`` is undefined with NaN, and a bracket
+    whose interior evaluates to NaN gives no root.
     """
     xs = [float(x) for x in grid]
-    fs = [float(fn(x)) for x in xs]
+    fs = [float(fn(x)) for x in xs] if values is None else [float(f) for f in values]
     roots = []
     for i, (x0, f0) in enumerate(zip(xs, fs)):
         if f0 == 0.0:

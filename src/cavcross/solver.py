@@ -277,29 +277,30 @@ def _entry_coeffs(t0, v0, phi, d0, leader, tau):
 
     With c, d fixed by the entry state, position/speed/control at tau are
     affine in (a, b); the first two boundary conditions give a 2x2 linear
-    system and the residual of the third (gap acceleration) comes back as
-    the scalar mismatch g(tau).
+    system, solved by Cramer's rule, and the residual of the third (gap
+    acceleration) comes back as the mismatch g(tau). ``tau`` is a scalar or
+    an array (the leader is then sampled once for all of it); where the
+    system is singular, a, b and g are NaN.
     """
-    pk, vk, uk = leader.eval(tau)
+    tau = np.asarray(tau, dtype=float)
+    pk, vk, uk = leader.sample(tau) if tau.ndim else leader.eval(float(tau))
     dt = tau - t0
     # affine maps: p(tau) = Pa*a + Pb*b + v0*dt, v(tau) = Va*a + Vb*b + v0
     Pa = tau**3 / 6.0 - t0**2 * tau / 2.0 + t0**3 / 3.0
     Pb = 0.5 * dt * dt
     Va = 0.5 * (tau * tau - t0 * t0)
     Vb = dt
-    A = np.array([
-        [Pa + phi * Va, Pb + phi * Vb],
-        [Va + phi * tau, Vb + phi],
-    ])
-    rhs = np.array([
-        pk - d0 - v0 * dt - phi * v0,
-        vk - v0,
-    ])
-    try:
-        a, b = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return None
+    a11, a12 = Pa + phi * Va, Pb + phi * Vb
+    a21, a22 = Va + phi * tau, Vb + phi
+    r1 = pk - d0 - v0 * dt - phi * v0
+    r2 = vk - v0
+    det = a11 * a22 - a12 * a21
+    det = np.where(det == 0.0, np.nan, det)
+    a = (r1 * a22 - a12 * r2) / det
+    b = (a11 * r2 - r1 * a21) / det
     g = (tau + phi) * a + b - uk   # gap-acceleration mismatch
+    if tau.ndim:
+        return a, b, g
     return float(a), float(b), float(g)
 
 
@@ -316,12 +317,9 @@ def _entry_block(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
     phi, d0 = cfg.phi, cfg.delta0
     t_hi = leader.tf + 2.0 * phi + 1.0
     leader = leader.extended(t_hi + 1.0)
-
-    def mismatch(tau):
-        out = _entry_coeffs(t0, v0, phi, d0, leader, tau)
-        return np.nan if out is None else out[2]
-
-    roots = bracket_roots(mismatch, np.linspace(t0 + 1e-3, t_hi, 400))
+    grid = np.linspace(t0 + 1e-3, t_hi, 400)
+    roots = bracket_roots(lambda tau: _entry_coeffs(t0, v0, phi, d0, leader, tau)[2],
+                          grid, _entry_coeffs(t0, v0, phi, d0, leader, grid)[2])
     if not roots:
         raise StructureError("no osculating junction with the gap boundary")
 

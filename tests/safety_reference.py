@@ -35,10 +35,9 @@ def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
         tau2 = tau1 + (tf_fixed - tau1) / (1.0 + math.exp(-zb))
         if tau1 >= tf_fixed - 1e-3:
             return np.array([1e6, 1e6])
-        out = _entry_coeffs(t0, v0, phi, d0, lead_ext, tau1)
-        if out is None:
+        a, b, g = _entry_coeffs(t0, v0, phi, d0, lead_ext, tau1)
+        if math.isnan(g):
             return np.array([1e6, 1e6])
-        a, b, g = out
         u_entry = _cub_u(a, b, tau1)
         try:
             pieces = _ride_pieces(leader, tau1, u_entry, cfg, tf_fixed + 1.0)

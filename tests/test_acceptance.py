@@ -198,24 +198,33 @@ def _oracle_cases():
                                terminal="free", sat_u=True, sat_v=True)
         return traj, CAP, {"u_limits": (-0.2, 0.2)}
 
-    return [("free", inst_free, 1500), ("fixed", inst_fixed, 1500),
-            ("safety", inst_safety, 12000), ("lateral", inst_lateral, 6000),
-            ("limits", inst_limits, 3000)]
+    # The oracle is the exact optimum of the transcription, so the closed
+    # form may exceed it only by the O(dt^2) transcription error, except on
+    # the lateral family: the hold is imposed at the grid point nearest tm,
+    # an O(dt) shift that lets the oracle come in up to 0.44% below the
+    # closed form (0.75% if it were imposed at the grid point before tm).
+    return [("free", inst_free, 1.0001), ("fixed", inst_fixed, 1.0001),
+            ("safety", inst_safety, 1.0001), ("lateral", inst_lateral, 1.005),
+            ("limits", inst_limits, 1.0001)]
+
+
+ORACLE_ITER_CAP = 40
 
 
 def test_c8_oracle_never_beats_analytic():
     worst_gap = -1e18
-    for name, mk, iters in _oracle_cases():
+    for name, mk, margin in _oracle_cases():
         for i in range(25):
             traj, cfg, kw = mk(i)
             closed = traj.cost(cfg.gamma).objective
             res = transcription_oracle(traj.t0, traj.eval(traj.t0)[1], cfg,
-                                       tf=traj.tf, dt=0.02, iters=iters,
-                                       seed=100 + i, **kw)
-            assert res.feasible, f"{name} i={i}: oracle violation {res.max_violation:.3f}"
-            assert closed <= res.cost * 1.005, \
+                                       tf=traj.tf, dt=0.02, iters=ORACLE_ITER_CAP,
+                                       **kw)
+            assert res.iterations < ORACLE_ITER_CAP, f"{name} i={i}: no convergence"
+            assert res.feasible, f"{name} i={i}: oracle violation {res.max_violation:.3e}"
+            assert closed <= res.cost * margin, \
                 f"{name} i={i}: closed {closed:.6f} vs oracle {res.cost:.6f}"
-            worst_gap = max(worst_gap, closed - res.cost * 1.005)
+            worst_gap = max(worst_gap, closed - res.cost * margin)
             # evaluating the closed-form control on the oracle's own grid must
             # reproduce the closed-form cost at second order in the step; the
             # additive floor covers junction kinks straddled mid-interval,

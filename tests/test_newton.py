@@ -79,6 +79,20 @@ def test_bracket_roots_converges_to_a_few_ulps():
     assert abs(math.cos(r) - r) <= 4 * math.ulp(r)
 
 
+def test_bracket_roots_takes_precomputed_grid_values():
+    grid = np.linspace(0.5, 10.0, 40)
+    calls = []
+
+    def counted_sin(x):
+        calls.append(x)
+        return math.sin(x)
+
+    roots = bracket_roots(counted_sin, grid, np.sin(grid))
+    assert roots == bracket_roots(math.sin, grid)
+    # fn is called only inside the three brackets
+    assert all(not np.any(grid == x) for x in calls)
+
+
 def test_bracket_roots_keeps_an_exact_zero_at_a_grid_point():
     # the zero at x = 1 sits on the grid and is reported once; the other
     # root lies between grid points

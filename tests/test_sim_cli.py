@@ -205,6 +205,26 @@ def test_cli_seed_override_changes_nothing_for_single_lane(tmp_path):
     assert open(base / "summary.csv").read() == open(alt / "summary.csv").read()
 
 
+def test_cli_oracle_run_on_a_gap_ride(tmp_path, capsys):
+    # the follower rides the rear-end gap bound to the exit; the oracle
+    # solves each CAV's transcription at the default 0.01 s step
+    start = time.perf_counter()
+    code = cli.main(["run", "--fixture", "fig3_safety_ride", "--out", str(tmp_path),
+                     "--oracle"])
+    assert code == 0
+    assert time.perf_counter() - start < 10.0
+    capsys.readouterr()
+    audit_lines = [line for line in (tmp_path / "audit.txt").read_text().splitlines()
+                   if line.startswith("oracle:")]
+    assert len(audit_lines) == 2
+    assert all("feasible=True" in line for line in audit_lines)
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["active"] for r in rows] == ["none", "rear_end"]
+    for row in rows:
+        assert float(row["oracle_gap_pct"]) <= 0.5
+
+
 def test_cli_rejects_bad_usage(tmp_path, capsys):
     assert cli.main(["run", "--fixture", "fig7_uvmax", "nope.json",
                      "--out", str(tmp_path)]) == 1

@@ -5,8 +5,8 @@ import pytest
 
 from cavcross.model import (CubicArc, ExpTrackArc, PiecewiseTrajectory,
                             ScenarioConfig)
-from cavcross.solver import (SolveReport, StructureError, solve_p1_fixed,
-                             solve_safety)
+from cavcross.solver import (SolveReport, StructureError, _entry_coeffs,
+                             solve_p1_fixed, solve_safety)
 from cavcross.verifier import audit
 from safety_reference import solve_safety_joint
 
@@ -23,6 +23,30 @@ def _lead_dip():
     return PiecewiseTrajectory((CubicArc(
         t_start=0.0, t_end=41.0,
         a=0.0017411238954745383, b=-0.03569303985722797, c=10.0, d=0.0),))
+
+
+def test_entry_coeffs_on_a_grid_match_pointwise_solves():
+    lead = _lead_pinned(39.0).extended(45.0)
+    t0, v0, phi, d0 = 2.0, 12.0, CFG.phi, CFG.delta0
+    # at tau = t0 = 0 both rows vanish: the system is singular
+    a, b, g = _entry_coeffs(0.0, v0, phi, d0, lead, np.array([0.0, 1.0]))
+    assert np.isnan([a[0], b[0], g[0]]).all() and not np.isnan([a[1], b[1], g[1]]).any()
+    assert all(math.isnan(x) for x in _entry_coeffs(0.0, v0, phi, d0, lead, 0.0))
+    grid = np.linspace(t0 + 1e-3, 42.0, 97)
+    a, b, g = _entry_coeffs(t0, v0, phi, d0, lead, grid)
+    for k, tau in enumerate(grid):
+        # reference: the 2x2 system of p and v at tau solved by LU
+        pk, vk, uk = lead.eval(tau)
+        dt = tau - t0
+        Pa = tau**3 / 6.0 - t0**2 * tau / 2.0 + t0**3 / 3.0
+        Va = 0.5 * (tau * tau - t0 * t0)
+        A = np.array([[Pa + phi * Va, 0.5 * dt * dt + phi * dt],
+                      [Va + phi * tau, dt + phi]])
+        ra, rb = np.linalg.solve(A, [pk - d0 - v0 * dt - phi * v0, vk - v0])
+        rg = (tau + phi) * ra + rb - uk
+        scalar = _entry_coeffs(t0, v0, phi, d0, lead, tau)
+        for got in ((a[k], b[k], g[k]), scalar):
+            assert got == pytest.approx((ra, rb, rg), rel=1e-9, abs=1e-12)
 
 
 def _gap(traj, lead, ts, cfg):
