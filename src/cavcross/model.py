@@ -232,7 +232,8 @@ class ExpTrackArc(Arc):
         return self.a, self.b, self.c, self.d, self.amp, self.phi
 
     def _interior_roots(self, fn):
-        ts = bracket_roots(fn, np.linspace(self.t_start, self.t_end, 256))
+        grid = np.linspace(self.t_start, self.t_end, 256)
+        ts = bracket_roots(fn, grid, fn(grid))
         return [t for t in ts if self.t_start + _EDGE_TOL < t < self.t_end - _EDGE_TOL]
 
     def v_extrema(self):

@@ -40,7 +40,7 @@ import numpy as np
 from .bounds import TerminalWindow, composite_window
 from .model import (ConfigError, CruiseArc, CubicArc, ExpTrackArc,
                     PiecewiseTrajectory, SatArc, ScenarioConfig,
-                    VehicleArrival, _pint)
+                    VehicleArrival, _exp_antideriv, _pint, _pval)
 from .newton import bracket_roots, solve_system
 
 
@@ -525,14 +525,20 @@ def _tail_feasible(pieces, leader, e, r, q, m, tau2, tf, cfg):
     return np.max(p + cfg.phi * v + cfg.delta0 - pk) <= 5e-7
 
 
+def _quadratic_roots(c0, c1, c2):
+    """Real roots of c2*t^2 + c1*t + c0 (none when all three vanish)."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [q / c2] + ([c0 / q] if q != 0.0 else [])
+
+
 def _smallest_positive_root(A, B, C):
     """Smallest positive root of A*s^2 + B*s + C, NaN when there is none."""
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        return math.nan
-    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
-    roots = (q / A if A else math.nan, C / q if q else math.nan)
-    return min((x for x in roots if x > 0.0), default=math.nan)
+    return min((x for x in _quadratic_roots(C, B, A) if x > 0.0), default=math.nan)
 
 
 def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
@@ -917,44 +923,143 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
 
 GAP_TOL = 1e-6
 BOUND_TOL = 1e-9
+_PRIORITY = {"control": 0, "speed": 1, "rear_end": 2, "lateral": 3}
+
+
+def _arc_track(traj: PiecewiseTrajectory, quantity):
+    """u or v arc by arc as (fn, knots, values), monotone between knots.
+
+    The knots are each arc's ends and the interior extrema it reports.
+    """
+    track = []
+    for arc in traj.arcs:
+        fn = getattr(arc, quantity)
+        ext = arc.u_extrema() if quantity == "u" else arc.v_extrema()
+        track.append((fn, [arc.t_start] + [t for t, _ in ext] + [arc.t_end],
+                      [float(fn(arc.t_start))] + [x for _, x in ext]
+                      + [float(fn(arc.t_end))]))
+    return track
+
+
+def _gap_rate_roots(arc, lead_arc, phi, lo, hi):
+    """Interior roots on (lo, hi) of gap' = v + phi*u - v_k for one arc pair.
+
+    In ``cubic_amp`` coefficients gap' is a quadratic q(t) plus, for each
+    gap-ride arc of the pair with time constant phi_i, E(t)*exp(-t/phi_i):
+    E = phi*A - Rv for the follower and +Rv for the leader, Rv being the
+    exponential amplitude of the arc's speed. Terms of one time constant are
+    added coefficient by coefficient, so on a ride, where gap' vanishes
+    identically, what rounding leaves is a few tiny coefficients (often
+    none), not noise with a sign change at every sample. Without exponential
+    terms the roots are closed form; otherwise they are bracketed on 256
+    points from one vectorised evaluation.
+    """
+    a, b, c, _, amp, phi_f = arc.cubic_amp()
+    ak, bk, ck, _, amp_k, phi_k = lead_arc.cubic_amp()
+    q = (c + phi * b - ck, b + phi * a - bk, 0.5 * (a - ak))
+    exps = {}
+    if amp:
+        rv = _exp_antideriv(amp, 1.0 / phi_f)
+        exps[phi_f] = tuple(phi * x - y for x, y in zip(amp, rv))
+    if amp_k:
+        exps[phi_k] = np.polynomial.polynomial.polyadd(
+            exps.get(phi_k, (0.0,)), _exp_antideriv(amp_k, 1.0 / phi_k))
+    if not exps:
+        roots = sorted(_quadratic_roots(*q))
+    else:
+        def gap_rate(t):
+            out = _pval(q, t)
+            for phi_i, e in exps.items():
+                out = out + _pval(e, t) * np.exp(-t / phi_i)
+            return out
+
+        grid = np.linspace(lo, hi, 256)
+        values = gap_rate(grid)
+        # gap' left exactly zero: the gap is constant, one monotone piece
+        roots = bracket_roots(gap_rate, grid, values) if np.any(values) else []
+    return [t for t in roots if lo < t < hi]
+
+
+def _gap_track(traj: PiecewiseTrajectory, lead: PiecewiseTrajectory, cfg: ScenarioConfig):
+    """The rear-end gap as (fn, knots, values), monotone between knots.
+
+    One entry per interval between consecutive breakpoints of the follower
+    and the leader, with the gap's stationary points inside it as knots.
+    """
+    phi, d0 = cfg.phi, cfg.delta0
+    cuts = sorted({t for t in traj.breakpoints + lead.breakpoints
+                   if traj.t0 <= t <= traj.tf})
+    track = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        arc, lead_arc = traj.arc_at(mid), lead.arc_at(mid)
+
+        def gap(t, arc=arc, lead_arc=lead_arc):
+            return float(arc.p(t) + phi * arc.v(t) + d0 - lead_arc.p(t))
+
+        knots = [lo] + _gap_rate_roots(arc, lead_arc, phi, lo, hi) + [hi]
+        track.append((gap, knots, [gap(t) for t in knots]))
+    return track
+
+
+def _first_crossing(track, sign, limit, tol):
+    """Earliest (t, magnitude) where sign*(x - limit) exceeds tol, or None.
+
+    ``track`` lists, in time order, (fn, knots, values) with x = fn(t)
+    monotone between consecutive knots and ``values`` holding x at the
+    knots. The first knot past the threshold ends the monotone piece that
+    holds the crossing: the crossing is that knot itself when it starts its
+    entry (x may jump where arcs meet), else the root of the threshold on
+    the piece. The magnitude is the excess at the piece's end, the peak of
+    the first violating run on it (its start when that is higher).
+    """
+    threshold = sign * limit + tol
+    for fn, knots, values in track:
+        for j, x in enumerate(values):
+            if sign * x > threshold:
+                if j == 0:
+                    return knots[0], max(sign * (x - limit), sign * (values[1] - limit))
+                roots = bracket_roots(lambda t: sign * fn(t) - threshold,
+                                      (knots[j - 1], knots[j]))
+                return (roots[0] if roots else knots[j]), sign * (x - limit)
+    return None
 
 
 def scan_violations(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *,
-                    u_limits=None, leader=None, lateral_tm=None, step=1e-3):
+                    u_limits=None, leader=None, lateral_tm=None):
     """Earliest violation of each constraint kind on a candidate trajectory.
 
-    Samples densely and augments with closed-form arc extrema; returns a list
-    of (t, kind, direction, magnitude) sorted by time then fixed priority
-    (control, speed, rear_end, lateral).
+    Every crossing is found exactly, without a sample grid: u, v and the
+    rear-end gap behind the extended leader are split into monotone pieces
+    at the arc breakpoints and their closed-form or bracketed stationary
+    points, the first piece whose end passes a threshold holds the first
+    crossing, and a bracketed root refines it (see ``_first_crossing``).
+    Only the audit and the fleet guarantee check sample trajectories.
+    Returns a list of (t, kind, direction, magnitude) sorted by time then
+    fixed priority (control, speed, rear_end, lateral).
     """
     u_lo, u_hi = u_limits if u_limits is not None else (cfg.u_min, cfg.u_max)
-    ts = traj.dense_times(step)
-    p, v, u = traj.sample(ts)
-
     found = []
 
-    def first_cross(mask, magnitude, kind, direction):
-        idx = np.argmax(mask)
-        if mask[idx]:
-            found.append((float(ts[idx]), kind, direction, float(magnitude[idx])))
+    def add(kind, direction, hit):
+        if hit is not None:
+            found.append((float(hit[0]), kind, direction, float(hit[1])))
 
-    first_cross(u > u_hi + BOUND_TOL, u - u_hi, "control", +1)
-    first_cross(u < u_lo - BOUND_TOL, u_lo - u, "control", -1)
-    first_cross(v > cfg.v_max + BOUND_TOL, v - cfg.v_max, "speed", +1)
-    first_cross(v < cfg.v_min - BOUND_TOL, cfg.v_min - v, "speed", -1)
+    u_track, v_track = _arc_track(traj, "u"), _arc_track(traj, "v")
+    add("control", +1, _first_crossing(u_track, +1, u_hi, BOUND_TOL))
+    add("control", -1, _first_crossing(u_track, -1, u_lo, BOUND_TOL))
+    add("speed", +1, _first_crossing(v_track, +1, cfg.v_max, BOUND_TOL))
+    add("speed", -1, _first_crossing(v_track, -1, cfg.v_min, BOUND_TOL))
     if leader is not None:
-        lead = leader.extended(traj.tf)
-        pk, _, _ = lead.sample(ts)
-        gap = p + cfg.phi * v + cfg.delta0 - pk
-        first_cross(gap > GAP_TOL, gap, "rear_end", +1)
+        gap_track = _gap_track(traj, leader.extended(traj.tf), cfg)
+        add("rear_end", +1, _first_crossing(gap_track, +1, 0.0, GAP_TOL))
     if lateral_tm is not None and lateral_tm > traj.t0:
         t_eval = min(lateral_tm, traj.tf)
         p_at = traj.eval(t_eval)[0]
         if p_at > cfg.L + GAP_TOL:
             found.append((float(t_eval), "lateral", +1, float(p_at - cfg.L)))
 
-    priority = {"control": 0, "speed": 1, "rear_end": 2, "lateral": 3}
-    found.sort(key=lambda it: (it[0], priority[it[1]]))
+    found.sort(key=lambda it: (it[0], _PRIORITY[it[1]]))
     return found
 
 

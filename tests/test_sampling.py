@@ -11,6 +11,7 @@ from cavcross.coordinator import TIE_EPS, GuaranteeReport
 from cavcross.fixtures import FIXTURES, fixture
 from cavcross.model import (CruiseArc, CubicArc, ExpTrackArc, PiecewiseTrajectory,
                             SatArc, ScenarioConfig, VehicleArrival)
+from cavcross.newton import bracket_roots
 from cavcross.sim import (CavRun, RunSettings, Scenario, SimResult, load_scenario,
                           run_simulation, write_trajectories)
 from test_acceptance import _random_scenario
@@ -217,6 +218,21 @@ def test_gap_ride_extrema_scanned_once_per_arc(monkeypatch):
         # the plan's scan, the audit and the fleet check all asked
         assert scans[id(arc), "u"] == 1 and scans[id(arc), "du"] == 1
     assert max(scans.values()) == 1
+
+
+def test_extrema_from_one_vectorised_evaluation_match_the_scalar_scan(results):
+    """The 256 grid values come from one array call; the roots must not move."""
+    rides = [arc for _, result in results for run in result.runs
+             if run.trajectory is not None
+             for arc in run.trajectory.arcs if isinstance(arc, ExpTrackArc)]
+    assert len(rides) > 10
+    for arc in rides + [_dipping_track()]:
+        grid = np.linspace(arc.t_start, arc.t_end, 256)
+        scalar = [t for t in bracket_roots(arc.u, grid)
+                  if arc.t_start + 1e-9 < t < arc.t_end - 1e-9]
+        got = [t for t, _ in arc.v_extrema()]
+        assert len(got) == len(scalar)
+        assert np.allclose(got, scalar, rtol=0.0, atol=1e-12)
 
 
 def test_extrema_lists_are_fresh_copies():
