@@ -923,7 +923,6 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
 
 GAP_TOL = 1e-6
 BOUND_TOL = 1e-9
-_PRIORITY = {"control": 0, "speed": 1, "rear_end": 2, "lateral": 3}
 
 
 def _arc_track(traj: PiecewiseTrajectory, quantity):
@@ -934,7 +933,7 @@ def _arc_track(traj: PiecewiseTrajectory, quantity):
     track = []
     for arc in traj.arcs:
         fn = getattr(arc, quantity)
-        ext = arc.u_extrema() if quantity == "u" else arc.v_extrema()
+        ext = getattr(arc, f"{quantity}_extrema")()
         track.append((fn, [arc.t_start] + [t for t, _ in ext] + [arc.t_end],
                       [float(fn(arc.t_start))] + [x for _, x in ext]
                       + [float(fn(arc.t_end))]))
@@ -1059,7 +1058,8 @@ def scan_violations(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *,
         if p_at > cfg.L + GAP_TOL:
             found.append((float(t_eval), "lateral", +1, float(p_at - cfg.L)))
 
-    found.sort(key=lambda it: (it[0], _PRIORITY[it[1]]))
+    priority = {"control": 0, "speed": 1, "rear_end": 2, "lateral": 3}
+    found.sort(key=lambda it: (it[0], priority[it[1]]))
     return found
 
 

@@ -87,16 +87,15 @@ def test_exact_scan_finds_a_gap_bump_between_grid_points():
 
 
 def test_exact_scan_samples_nothing(monkeypatch):
-    from cavcross.model import PiecewiseTrajectory as PT
     counts = {"sample": 0, "dense_times": 0}
     for name in counts:
-        original = getattr(PT, name)
+        original = getattr(PiecewiseTrajectory, name)
 
         def counted(self, *args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(PT, name, counted)
+        monkeypatch.setattr(PiecewiseTrajectory, name, counted)
     _, lead = solve_p1_fixed(0.0, 10.0, 39.0, CFG)
     ride, _ = solve_safety(2.0, 12.0, lead, CFG, terminal="follower")
     limits, _ = solve_limits(0.0, 10.0, CAP, terminal="free", sat_u=True, sat_v=True)
