@@ -4,12 +4,12 @@
   for sign changes, each bracket refined by Chandrupatla's hybrid of inverse
   quadratic interpolation and bisection (Chandrupatla 1997; the same family
   as Brent 1973). The free horizon, the gap-ride entry and exit, the
-  position-cap dwell, the pinned blend span, arc extrema and position
-  crossings go through it.
-* ``solve_system`` -- damped Newton on a stacked residual vector, for the
-  coupled arc systems still solved jointly: forward-difference Jacobian,
-  Armijo backtracking on the squared residual norm, and a deterministic
-  ladder of initial guesses supplied by the caller.
+  position-cap dwell, arc extrema and position crossings go through it.
+* ``solve_system`` -- damped Newton on a stacked residual vector:
+  forward-difference Jacobian, Armijo backtracking on the squared residual
+  norm, and a deterministic ladder of initial guesses supplied by the
+  caller. Its one caller in the solver is the follower terminal
+  (``solver.solve_p1_follower``); the saturation families are closed forms.
 
 No randomness, so solves are reproducible bit for bit.
 """
