@@ -10,10 +10,9 @@ from .model import (ConfigError, ConflictMap, CostBreakdown, CruiseArc, CubicArc
                     ScenarioConfig, VehicleArrival)
 from .sim import (Scenario, SimResult, apply_overrides, load_scenario,
                   run_simulation, write_outputs)
-from .solver import (InfeasibleProblem, MultiplierRecord, SolveReport, SolverError,
-                     StructureError, plan, scan_violations, solve_lateral,
-                     solve_limits, solve_p0_free, solve_p1_fixed,
-                     solve_p1_follower, solve_safety)
+from .solver import (InfeasibleProblem, SolveReport, SolverError, StructureError,
+                     plan, scan_violations, solve_lateral, solve_limits,
+                     solve_p0_free, solve_p1_fixed, solve_p1_follower, solve_safety)
 from .verifier import (AuditReport, OracleResult, audit, oracle_eval_control,
                        transcription_oracle)
 
@@ -27,7 +26,7 @@ __all__ = [
     "GuaranteeReport", "QueueView", "check_guarantees", "FIXTURES", "fixture",
     "Scenario", "SimResult", "apply_overrides", "load_scenario",
     "run_simulation", "write_outputs", "InfeasibleProblem",
-    "MultiplierRecord", "SolveReport", "SolverError", "StructureError", "plan",
+    "SolveReport", "SolverError", "StructureError", "plan",
     "scan_violations", "solve_lateral", "solve_limits", "solve_p0_free",
     "solve_p1_fixed", "solve_p1_follower", "solve_safety", "AuditReport",
     "OracleResult", "audit", "oracle_eval_control", "transcription_oracle",

@@ -92,13 +92,6 @@ class Arc:
         if not (self.t_end > self.t_start - _EDGE_TOL):
             raise ConfigError(f"arc has non-positive duration: [{self.t_start}, {self.t_end}]")
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
-    def contains(self, t: float) -> bool:
-        return self.t_start - _EDGE_TOL <= t <= self.t_end + _EDGE_TOL
-
     # subclasses implement p/v/u and energy_to(t1, t2)
     def cubic_amp(self):
         """Absolute-time (a, b, c, d, amp, phi) view of this arc.
@@ -155,8 +148,8 @@ class CubicArc(Arc):
 class ExpTrackArc(Arc):
     """Gap-riding arc: u = a*t + b + A(t) * exp(-t/phi).
 
-    ``amp`` holds the polynomial amplitude A lowest-order first; the classic
-    constant-amplitude case is ``amp=(c_e,)``. Speed and position follow by
+    ``amp`` holds the polynomial amplitude A lowest-order first; a constant
+    amplitude is a one-element tuple. Speed and position follow by
     exact integration:
         v = 0.5*a*t^2 + b*t + c - Rv(t) exp(-t/phi)
         p = a/6*t^3 + 0.5*b*t^2 + c*t + d + Rp(t) exp(-t/phi)
@@ -186,11 +179,6 @@ class ExpTrackArc(Arc):
         # stationary points, found on first request (see v_extrema)
         object.__setattr__(self, "_v_ext", None)
         object.__setattr__(self, "_u_ext", None)
-
-    @property
-    def c_e(self) -> float:
-        """Constant exponential amplitude (the common case)."""
-        return self.amp[0] if self.amp else 0.0
 
     def _exp(self, t):
         return np.exp(-t / self.phi) if isinstance(t, np.ndarray) else math.exp(-t / self.phi)

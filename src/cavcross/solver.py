@@ -21,7 +21,10 @@ terminal still solves a small coupled system by Newton. The solves:
 * ``solve_lateral``       -- interior position cap p(tm) = L, two cubics.
 * ``solve_limits``        -- control and/or speed saturation arc structures,
                              in closed form.
-* ``plan``                -- the step-wise activation loop tying it together.
+* ``plan``                -- the step-wise activation loop tying it together:
+                             ``ACTIVATES`` maps a violation kind to its arc
+                             family, ``FOLLOWS`` the structures a family may
+                             be activated on.
 
 Junctions between unconstrained and gap-riding arcs use second-order contact:
 the gap, its rate, and its acceleration all vanish where the incoming cubic
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,16 +95,6 @@ class UnconstrainedParams:
 
 
 @dataclass
-class MultiplierRecord:
-    """Costate and junction-multiplier bookkeeping for one solve."""
-
-    lambda_p: list = field(default_factory=list)   # (t_start, t_end, value) per cubic arc
-    eta: float | None = None                       # terminal headway multiplier
-    zeta: float | None = None                      # interior position-cap jump
-    pi: float | None = None                        # junction jump (0 when costates continuous)
-
-
-@dataclass
 class SolveReport:
     cav_id: int | None = None
     steps: list = field(default_factory=list)       # dicts: problem, residual, iters, detail
@@ -109,8 +102,6 @@ class SolveReport:
     terminal_mode: str = "free"
     window: TerminalWindow | None = None
     binding: str | None = None
-    multipliers: MultiplierRecord = field(default_factory=MultiplierRecord)
-    extensions: list = field(default_factory=list)
     feasible: bool = True
     wall_time: float = 0.0
 
@@ -150,7 +141,6 @@ def solve_p0_free(t0, v0, cfg: ScenarioConfig, report: SolveReport | None = None
         params = UnconstrainedParams(0.0, 0.0, c, d, tf)
         if report is not None:
             report.log("free_terminal", residual=0.0, iters=0)
-            report.multipliers.lambda_p.append((t0, tf, 0.0))
         return params, _single_cubic_traj(t0, tf, 0.0, 0.0, c, d)
 
     # shifted frame: u(tf) = 0 and p(tf) = D give a = 3*(v0*T - D)/T^3, and
@@ -172,7 +162,6 @@ def solve_p0_free(t0, v0, cfg: ScenarioConfig, report: SolveReport | None = None
         raise StructureError("free-terminal solve lost its accelerate/relax shape")
     if report is not None:
         report.log("free_terminal", residual=abs(f_of_T(T)))
-        report.multipliers.lambda_p.append((t0, tf, a))
     return UnconstrainedParams(a, b, c, d, tf), _single_cubic_traj(t0, tf, a, b, c, d)
 
 
@@ -200,7 +189,6 @@ def solve_p1_fixed(t0, v0, tf, cfg: ScenarioConfig, report: SolveReport | None =
     a, b, c, d = (float(z) for z in x)
     if report is not None:
         report.log("fixed_terminal", residual=resid / scale, iters=0, tf=tf)
-        report.multipliers.lambda_p.append((t0, tf, a))
     return UnconstrainedParams(a, b, c, d, tf), _single_cubic_traj(t0, tf, a, b, c, d)
 
 
@@ -252,7 +240,6 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
         # boundary collapses to tf = t_kf exactly
         params, traj = solve_p1_fixed(t0, v0, t_kf, cfg, report=report)
         if report is not None:
-            report.multipliers.eta = None
             report.log("follower_terminal", residual=0.0, detail="collapsed to pinned terminal")
         return params, traj, 0.0
     res = solve_system(residual, starts)
@@ -264,8 +251,6 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
     c, d = _init_cd(t0, v0, a, b)
     if report is not None:
         report.log("follower_terminal", residual=res.residual_norm, iters=res.iterations, tf=tf)
-        report.multipliers.lambda_p.append((t0, tf, a))
-        report.multipliers.eta = float(eta)
     return UnconstrainedParams(a, b, c, d, tf), _single_cubic_traj(t0, tf, a, b, c, d), float(eta)
 
 
@@ -405,14 +390,10 @@ def _truncate_ride(pieces, t_end):
         if piece.t_end <= t_end + 1e-12:
             out.append(piece)
         else:
-            out.append(ExpTrackArc(t_start=piece.t_start, t_end=t_end, a=piece.a,
-                                   b=piece.b, c=piece.c, d=piece.d, amp=piece.amp,
-                                   phi=piece.phi))
+            out.append(replace(piece, t_end=t_end))
             break
     if out and abs(out[-1].t_end - t_end) > 1e-9:
-        out[-1] = ExpTrackArc(t_start=out[-1].t_start, t_end=t_end, a=out[-1].a,
-                              b=out[-1].b, c=out[-1].c, d=out[-1].d,
-                              amp=out[-1].amp, phi=out[-1].phi)
+        out[-1] = replace(out[-1], t_end=t_end)
     return out
 
 
@@ -422,8 +403,6 @@ class SafetySolution:
     tau2: float | None          # None when the boundary is ridden to the exit
     tf: float
     entry: UnconstrainedParams  # incoming cubic (a, b, c, d)
-    tail: UnconstrainedParams | None  # departing cubic (e, r, q, m) if any
-    ride_amp0: float            # exponential amplitude of the first riding piece
     eta: float | None = None
 
 
@@ -472,18 +451,9 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
             traj = PiecewiseTrajectory(tuple([CubicArc(t_start=t0, t_end=tau1,
                                                        a=a, b=b, c=c, d=d)] + ride + [tail]))
             sol = SafetySolution(tau1=tau1, tau2=tau2, tf=tf,
-                                 entry=UnconstrainedParams(a, b, c, d, tau1),
-                                 tail=UnconstrainedParams(e, r, q, m, tf),
-                                 ride_amp0=ride[0].c_e, eta=eta)
+                                 entry=UnconstrainedParams(a, b, c, d, tau1), eta=eta)
             if report is not None:
                 report.log("gap_ride_with_departure", tau1=tau1, tau2=tau2, tf=tf)
-                report.multipliers.lambda_p.append((t0, tau1, a))
-                report.multipliers.lambda_p.append((tau2, tf, e))
-                report.multipliers.pi = 0.0
-                if eta is not None:
-                    report.multipliers.eta = eta
-                if tau2 > leader.tf + 1e-9:
-                    report.extensions.append("departure after leader exit")
             return traj, sol
         exit_solution = None
 
@@ -499,12 +469,9 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
         traj = PiecewiseTrajectory(tuple([CubicArc(t_start=t0, t_end=tau1,
                                                    a=a, b=b, c=c, d=d)] + ride))
         sol = SafetySolution(tau1=tau1, tau2=None, tf=tf,
-                             entry=UnconstrainedParams(a, b, c, d, tau1),
-                             tail=None, ride_amp0=ride[0].c_e)
+                             entry=UnconstrainedParams(a, b, c, d, tau1))
         if report is not None:
             report.log("gap_ride_to_exit", tau1=tau1, tf=tf)
-            report.multipliers.lambda_p.append((t0, tau1, a))
-            report.multipliers.pi = 0.0
         return traj, sol
     raise StructureError("gap-riding structure did not close")
 
@@ -689,9 +656,6 @@ def solve_lateral(t0, v0, tm, cfg: ScenarioConfig, *, terminal="free",
     traj = PiecewiseTrajectory((first, second))
     if report is not None:
         report.log("position_cap", residual=resid / scale, tm=tm, tf=tf)
-        report.multipliers.lambda_p.append((t0, tm, a))
-        report.multipliers.lambda_p.append((tm, tf, e))
-        report.multipliers.zeta = zeta
     return traj, {"a": a, "b": b, "c": c, "d": d, "e": e, "r": r, "q": q, "m": m,
                   "tf": tf, "zeta": zeta}
 
@@ -748,9 +712,8 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
         if free:
             if cfg.gamma == 0.0:
                 raise StructureError("free terminal with zero time weight never saturates")
-            # the mirrored slope keeps the sign of the shooting solve it
-            # replaced, which leaves H = 2*gamma at tau2
-            a = -cfg.gamma / v_sat if direction >= 0 else cfg.gamma / v_sat
+            # H = gamma + a*v_sat = 0 at tau2; mirrored, s comes out negative
+            a = -cfg.gamma / v_sat
             s = -u / a
             tau1 = t0 + dv / u - 0.5 * s if s > 0.0 else -math.inf
             if tau1 < t0 - 1e-9:
@@ -832,9 +795,6 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
     if report is not None:
         report.log(family, residual=abs(traj.eval(tf)[0] - D), iters=0,
                    direction=direction, tf=tf)
-        report.multipliers.lambda_p.append((tau1, tau2, a))
-        if direction < 0:
-            report.extensions.append("mirrored deceleration family")
     return traj, info
 
 
@@ -990,6 +950,13 @@ def scan_violations(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *,
 
 MAX_ROUNDS = 10
 
+# violation kind -> the arc family that clears it
+ACTIVATES = {"control": "limits", "speed": "limits", "rear_end": "safety",
+             "lateral": "lateral"}
+# arc family -> the structures it may be activated on
+FOLLOWS = {"limits": ("unconstrained", "limits"), "safety": ("unconstrained",),
+           "lateral": ("unconstrained",)}
+
 
 def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
          lateral_tm=None, other_tf=None, force_tf=None) -> tuple:
@@ -998,8 +965,15 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
     ``leader`` is the solved same-lane predecessor; ``lateral_tm`` the exit
     time of the latest conflicting predecessor; ``other_tf`` the latest
     adjacent/opposite exit time; ``force_tf`` pins the terminal time outright.
-    Returns (trajectory, report); raises InfeasibleProblem with the report
-    attached when no supported structure closes.
+
+    The unconstrained solve is pinned onto the terminal window first. Then
+    each round takes the earliest violation, looks up the arc family that
+    clears it (``ACTIVATES``) and whether that family may follow the current
+    structure (``FOLLOWS``), and captures the family as one solve
+    ``(terminal, pin) -> trajectory``; the re-pin onto the refreshed window
+    calls that same solve. Returns (trajectory, report); raises
+    InfeasibleProblem with the report attached when no supported structure
+    closes.
     """
     wall0 = time.perf_counter()
     report = SolveReport(cav_id=arrival.id)
@@ -1021,58 +995,62 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
             f"CAV {arrival.id}: terminal window empty "
             f"[{window.t_lower:.3f}, {window.t_upper:.3f}]", report)
 
-    terminal = "free"
-    tf_pin = None
-
+    terminal, tf_pin = "free", None
     if force_tf is not None:
         terminal, tf_pin = "fixed", float(force_tf)
         report.log("pinned_terminal_request", tf=tf_pin)
 
     def solve_terminal(terminal, tf_pin):
         if terminal == "free":
-            params, traj = solve_p0_free(t0, v0, cfg, report=report)
-        elif terminal == "follower":
-            params, traj, _ = solve_p1_follower(t0, v0, leader, cfg, report=report)
-        else:
-            params, traj = solve_p1_fixed(t0, v0, tf_pin, cfg, report=report)
-        return traj
+            return solve_p0_free(t0, v0, cfg, report=report)[1]
+        if terminal == "follower":
+            return solve_p1_follower(t0, v0, leader, cfg, report=report)[1]
+        return solve_p1_fixed(t0, v0, tf_pin, cfg, report=report)[1]
 
     traj = solve_terminal(terminal, tf_pin)
 
     # pin the terminal time onto the binding edge of the window, refreshing the
     # follower term with the solved exit speed (fixed-point, small count)
-    report.binding = None
     for _ in range(MAX_ROUNDS):
-        window = window_for(traj.vf)
-        report.window = window
-        moved = False
-        if terminal in ("free",) or (terminal in ("fixed", "follower") and force_tf is None):
-            if traj.tf < window.t_lower - 1e-6:
-                report.binding = window.binding
-                if window.binding == "speed_control":
-                    # the bound is the vehicle's own limits, not a neighbour;
-                    # the capped free families clear it without a pin, and
-                    # pinning exactly on it degenerates the blend to a bang
-                    pass
-                elif window.binding == "follower" and cfg.phi > 0:
-                    terminal = "follower"
-                    tf_pin = None
-                    moved = True
-                else:
-                    terminal = "fixed"
-                    tf_pin = window.t_lower
-                    moved = True
-            elif window.t_upper is not None and traj.tf > window.t_upper + 1e-6:
-                report.binding = "upper"
-                terminal, tf_pin = "fixed", window.t_upper
-                moved = True
-        if not moved:
+        window = report.window = window_for(traj.vf)
+        if force_tf is not None:
+            break
+        if traj.tf < window.t_lower - 1e-6:
+            report.binding = window.binding
+            if window.binding == "speed_control":
+                # the bound is the vehicle's own limits, not a neighbour;
+                # the capped free families clear it without a pin, and
+                # pinning exactly on it degenerates the blend to a bang
+                break
+            if window.binding == "follower" and cfg.phi > 0:
+                terminal, tf_pin = "follower", None
+            else:
+                terminal, tf_pin = "fixed", window.t_lower
+        elif window.t_upper is not None and traj.tf > window.t_upper + 1e-6:
+            report.binding = "upper"
+            terminal, tf_pin = "fixed", window.t_upper
+        else:
             break
         traj = solve_terminal(terminal, tf_pin)
     report.terminal_mode = terminal
 
-    structure = "unconstrained"
-    handled = set()
+    structure, handled = "unconstrained", set()
+
+    def family_solve(family, direction, t_v):
+        """The activated arc family as one solve (terminal, pin) -> trajectory."""
+        if family == "limits":
+            sat_u = ("control", direction) in handled
+            sat_v = ("speed", direction) in handled
+            return lambda term, pin: solve_limits(
+                t0, v0, cfg, terminal=term, tf_fixed=pin, u_limits=u_limits,
+                sat_u=sat_u, sat_v=sat_v, direction=direction, report=report)[0]
+        if family == "safety":
+            return lambda term, pin: solve_safety(
+                t0, v0, leader, cfg, terminal=term, tf_fixed=pin, t_hint=t_v,
+                report=report)[0]
+        return lambda term, pin: solve_lateral(
+            t0, v0, lateral_tm, cfg, terminal=term, tf_fixed=pin, report=report)[0]
+
     for round_no in range(MAX_ROUNDS):
         violations = scan_violations(traj, cfg, u_limits=u_limits, leader=leader,
                                      lateral_tm=lateral_tm)
@@ -1080,82 +1058,50 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
             break
         t_v, kind, direction, mag = violations[0]
         report.log("violation", t=t_v, kind=kind, magnitude=mag, round=round_no)
+        family = ACTIVATES[kind]
         try:
-            if kind in ("control", "speed"):
-                if structure not in ("unconstrained", "limits"):
-                    raise StructureError(
-                        f"combination {structure}+{kind} not supported")
-                handled.add((kind, direction))
-                sat_u = any(k == "control" and s == direction for k, s in handled)
-                sat_v = any(k == "speed" and s == direction for k, s in handled)
-                if not (sat_u or sat_v):
-                    raise StructureError("limit activation without a limit kind")
-                term = terminal if terminal != "follower" else "fixed"
-                pin = tf_pin if terminal == "fixed" else (traj.tf if terminal == "follower" else None)
-                traj, info = solve_limits(t0, v0, cfg, terminal=term, tf_fixed=pin,
-                                          u_limits=u_limits, sat_u=sat_u, sat_v=sat_v,
-                                          direction=direction, report=report)
-                structure = "limits"
+            if structure not in FOLLOWS[family]:
+                raise StructureError(f"combination {structure}+{kind} not supported")
+            handled.add((kind, direction))
+            solve = family_solve(family, direction, t_v)
+            if family == "safety":
+                # the gap ride solves every terminal itself, the headway
+                # bound included; the pin only sizes its horizon
+                traj = solve(terminal, traj.tf)
+            else:
                 if terminal == "follower":
-                    terminal, tf_pin = "fixed", traj.tf  # headway bound kept via fixed-point below
-                report.active.append(f"{kind}{'+' if direction > 0 else '-'}")
-            elif kind == "rear_end":
-                if structure not in ("unconstrained",):
-                    raise StructureError(
-                        f"combination {structure}+rear_end not supported")
-                traj, sol = solve_safety(t0, v0, leader, cfg, terminal=terminal,
-                                         tf_fixed=tf_pin if terminal == "fixed" else traj.tf,
-                                         t_hint=t_v, report=report)
-                structure = "safety"
-                report.active.append("rear_end")
-            elif kind == "lateral":
-                if structure not in ("unconstrained",):
-                    raise StructureError(
-                        f"combination {structure}+lateral not supported")
-                term = terminal if terminal != "follower" else "fixed"
-                pin = tf_pin if terminal == "fixed" else (traj.tf if terminal == "follower" else None)
-                if pin is not None and pin <= lateral_tm + 1e-9:
-                    # the hold alone pushes the exit past any such pin
-                    terminal = term = "free"
-                    tf_pin = pin = None
-                    report.terminal_mode = "free"
-                traj, info = solve_lateral(t0, v0, lateral_tm, cfg, terminal=term,
-                                           tf_fixed=pin, report=report)
-                structure = "lateral"
-                if terminal == "follower":
+                    # the headway bound is kept by the re-pin below
                     terminal, tf_pin = "fixed", traj.tf
-                report.active.append("lateral")
-            else:  # pragma: no cover
-                raise StructureError(f"unknown violation kind {kind}")
+                if family == "lateral" and tf_pin is not None and \
+                        tf_pin <= lateral_tm + 1e-9:
+                    # the hold alone pushes the exit past any such pin
+                    terminal, tf_pin = "free", None
+                    report.terminal_mode = "free"
+                traj = solve(terminal, tf_pin)
         except StructureError as exc:
             report.feasible = False
             report.log("failure", detail=str(exc))
             raise InfeasibleProblem(f"CAV {arrival.id}: {exc}", report) from exc
+        structure = family
+        report.active.append(kind if family != "limits"
+                             else f"{kind}{'+' if direction > 0 else '-'}")
 
-        # keep pinned terminals on the refreshed composite bound (fixed-point)
-        if terminal in ("fixed", "free") and force_tf is None and structure in ("limits", "lateral"):
-            for _ in range(MAX_ROUNDS):
-                window = window_for(traj.vf)
-                target = window.t_lower if (traj.tf < window.t_lower - 1e-6 and
-                                            window.binding != "speed_control") else None
-                if target is None and terminal == "fixed" and \
-                        window.t_upper is not None and traj.tf > window.t_upper + 1e-6:
-                    target = window.t_upper
-                if target is None or abs(target - traj.tf) < 1e-6:
-                    break
-                tf_pin = target
-                terminal = "fixed"
-                report.terminal_mode = "fixed"
-                if structure == "limits":
-                    traj, info = solve_limits(t0, v0, cfg, terminal="fixed", tf_fixed=tf_pin,
-                                              u_limits=u_limits,
-                                              sat_u=any(k == "control" for k, _ in handled),
-                                              sat_v=any(k == "speed" for k, _ in handled),
-                                              direction=next(s for _, s in handled),
-                                              report=report)
-                else:
-                    traj, info = solve_lateral(t0, v0, lateral_tm, cfg, terminal="fixed",
-                                               tf_fixed=tf_pin, report=report)
+        # keep pinned terminals on the refreshed composite bound (fixed-point):
+        # any binding but the vehicle's own limits pins t_lower, and only an
+        # already fixed terminal is pulled back to t_upper
+        if force_tf is not None or family == "safety":
+            continue
+        for _ in range(MAX_ROUNDS):
+            window = window_for(traj.vf)
+            if traj.tf < window.t_lower - 1e-6 and window.binding != "speed_control":
+                tf_pin = window.t_lower
+            elif terminal == "fixed" and window.t_upper is not None and \
+                    traj.tf > window.t_upper + 1e-6:
+                tf_pin = window.t_upper
+            else:
+                break
+            terminal = report.terminal_mode = "fixed"
+            traj = solve(terminal, tf_pin)
     else:
         leftovers = scan_violations(traj, cfg, u_limits=u_limits, leader=leader,
                                     lateral_tm=lateral_tm)

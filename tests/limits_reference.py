@@ -231,7 +231,4 @@ def solve_limits_newton(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixe
     if report is not None:
         report.log(info["family"], residual=residual, iters=iters,
                    direction=direction, tf=info["tf"])
-        report.multipliers.lambda_p.append((info["tau1"], info["tau2"], info["a"]))
-        if direction < 0:
-            report.extensions.append("mirrored deceleration family")
     return traj, info

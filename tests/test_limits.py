@@ -6,8 +6,9 @@ On every call ``plan()`` makes over the fixtures and the c7 sweep, on the c8
 limits instances and on a hand grid of both directions, the two fail with
 the same exception or give the same arcs, junction times and samples to
 1e-9. Where Newton's starting guesses miss a solution, the closed form still
-meets the optimality conditions. No case calls a Newton solve or a bracketed
-root.
+meets the optimality conditions. The free mirrored blend is the one case
+where they part: it has no solution, and what Newton returns there leaves
+H = 2*gamma. No case calls a Newton solve or a bracketed root.
 """
 import warnings
 
@@ -58,7 +59,8 @@ HAND_GRID = [
     (_case(CAP, 9.0, RELAX, +1, _fixed(32.1)), True),
     (_case(CAP, 6.0, RELAX, +1, _fixed(36.0)), True),
     (_case(CAP, 6.0, RELAX, +1, _fixed(40.0)), False),
-    (_case(FLOOR, 10.0, BLEND, -1), True),
+    # the free mirrored blend has no solution (see the test below)
+    (_case(FLOOR, 9.0, BLEND, -1, _fixed(54.0)), True),
     (_case(FLOOR, 13.0, BLEND, -1), False),
     (_case(FLOOR, 10.0, BLEND, -1, _fixed(50.0)), True),
     (_case(FLOOR, 10.0, BLEND, -1, _fixed(45.0)), False),
@@ -152,6 +154,19 @@ def test_closed_form_solves_where_newton_starts_miss(case):
     assert traj.eval(traj.tf)[0] == pytest.approx(cfg.exit_distance, abs=TOL)
     if "terminal" not in kwargs:
         assert cfg.gamma + info["a"] * v_sat == pytest.approx(0.0, abs=TOL)
+
+
+def test_mirrored_free_blend_has_no_solution():
+    # H = gamma + a*v_min vanishes only for a = -gamma/v_min < 0, which makes
+    # the blend span s = -u_min/a negative; Newton's answer misses H = 0
+    cfg, v0, kwargs = _case(FLOOR, 10.0, BLEND, -1)
+    with pytest.raises(StructureError):
+        solve_limits(0.0, v0, cfg, **kwargs)
+    traj, info = _newton(cfg, v0, kwargs)
+    _, v2, u2 = traj.eval(info["tau2"])
+    assert (v2, u2) == pytest.approx((cfg.v_min, 0.0), abs=TOL)
+    assert cfg.gamma - 0.5 * u2 * u2 + info["a"] * v2 == pytest.approx(2.0 * cfg.gamma,
+                                                                        abs=TOL)
 
 
 def test_every_family_solves_without_newton(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavcross.model import ConfigError, CruiseArc, CubicArc, SatArc, ScenarioConfig
-from cavcross.solver import SolveReport, StructureError, solve_lateral, solve_limits
+from cavcross.solver import StructureError, solve_lateral, solve_limits
 
 CFG = ScenarioConfig(v_max=20.0)
 
@@ -126,15 +126,13 @@ def test_limits_relax_then_cruise():
 
 def test_limits_mirrored_floor_family_is_flagged():
     cfg = ScenarioConfig(v_max=20.0, v_min=7.0, u_min=-0.1)
-    rep = SolveReport()
     traj, info = solve_limits(0.0, 10.0, cfg, terminal="fixed", tf_fixed=55.0,
-                              sat_u=False, sat_v=True, direction=-1, report=rep)
+                              sat_u=False, sat_v=True, direction=-1)
     assert info["direction"] == -1
     assert traj.vf == pytest.approx(7.0, abs=1e-9)
     ts = np.linspace(0.0, 55.0, 3000)
     assert np.min(traj.sample(ts)[1]) >= 7.0 - 1e-9
     assert traj.eval(55.0)[0] == pytest.approx(400.0, abs=1e-8)
-    assert rep.extensions  # mirrored family is outside the analyzed cases
 
 
 def test_limits_floor_cruise_at_standstill_rejected():
