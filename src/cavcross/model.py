@@ -118,6 +118,14 @@ class CubicArc(Arc):
     c: float
     d: float
 
+    @classmethod
+    def through(cls, t_start, t_end, p, v, a, b):
+        """The arc with control a*t + b on [t_start, t_end] whose position
+        and speed at t_start are p and v."""
+        c = v - (0.5 * a * t_start + b) * t_start
+        d = p - ((a / 6.0 * t_start + 0.5 * b) * t_start + c) * t_start
+        return cls(t_start=t_start, t_end=t_end, a=a, b=b, c=c, d=d)
+
     def u(self, t):
         return self.a * t + self.b
 

@@ -9,11 +9,13 @@ Stationarity makes the unconstrained control linear in time (u = a*t + b with
 costates lambda_p = a, lambda_v = -(a*t + b)). Given the junction and
 terminal times every arc follows in closed form, so most solves reduce to a
 scalar residual in one time whose roots ``newton.bracket_roots`` brackets on
-a grid, and the saturation families solve by hand. Only the follower
-terminal still solves a small coupled system by Newton. The solves:
+a grid, and the pinned cubic, the merging-zone hold and the saturation
+families solve by hand. Only the follower terminal still solves a small
+coupled system by Newton. Every cubic is placed by ``CubicArc.through``. The
+solves:
 
 * ``solve_p0_free``       -- free terminal time, no active constraints.
-* ``solve_p1_fixed``      -- pinned terminal time (linear 4x4 system).
+* ``solve_p1_fixed``      -- pinned terminal time.
 * ``solve_p1_follower``   -- terminal time on the leader-headway boundary,
                              with its multiplier eta.
 * ``solve_safety``        -- gap-riding arc behind the leader, with or
@@ -62,38 +64,6 @@ class InfeasibleProblem(SolverError):
         self.report = report
 
 
-# ---------------------------------------------------------------------------
-# shared cubic helpers (absolute-time coefficients)
-# ---------------------------------------------------------------------------
-
-def _cub_u(a, b, t):
-    return a * t + b
-
-
-def _cub_v(a, b, c, t):
-    return (0.5 * a * t + b) * t + c
-
-
-def _cub_p(a, b, c, d, t):
-    return ((a / 6.0 * t + 0.5 * b) * t + c) * t + d
-
-
-def _init_cd(t0, v0, a, b):
-    """c, d making v(t0) = v0 and p(t0) = 0."""
-    c = v0 - 0.5 * a * t0 * t0 - b * t0
-    d = -((a / 6.0 * t0 + 0.5 * b) * t0 + c) * t0
-    return c, d
-
-
-@dataclass(frozen=True)
-class UnconstrainedParams:
-    a: float
-    b: float
-    c: float
-    d: float
-    tf: float
-
-
 @dataclass
 class SolveReport:
     cav_id: int | None = None
@@ -102,7 +72,6 @@ class SolveReport:
     terminal_mode: str = "free"
     window: TerminalWindow | None = None
     binding: str | None = None
-    feasible: bool = True
     wall_time: float = 0.0
 
     def log(self, problem, residual=None, iters=None, **detail):
@@ -115,81 +84,69 @@ class SolveReport:
         self.steps.append(entry)
 
 
-def _single_cubic_traj(t0, tf, a, b, c, d):
-    return PiecewiseTrajectory((CubicArc(t_start=t0, t_end=tf, a=a, b=b, c=c, d=d),))
-
-
 # ---------------------------------------------------------------------------
 # unconstrained problems
 # ---------------------------------------------------------------------------
 
+def _pinned_slope(v0, T, D):
+    """Slope a of the cubic that leaves p = 0 at speed v0 and reaches p = D
+    after T with zero control: a = 3*(v0*T - D)/T^3."""
+    return 3.0 * (v0 * T - D) / T**3
+
+
 def solve_p0_free(t0, v0, cfg: ScenarioConfig, report: SolveReport | None = None):
     """Free-terminal-time unconstrained solve.
 
-    Unknowns (a, b, tf) with c, d fixed by the entry state; the terminal
-    stack is position at the exit distance, vanishing terminal control, and a
-    vanishing Hamiltonian. The first two fix (a, b) in closed form for each
-    horizon T = tf - t0, leaving the Hamiltonian as a scalar root in T.
-    Returns (params, trajectory).
+    Unknowns (a, b, tf) with the cubic placed through the entry state; the
+    terminal stack is position at the exit distance, vanishing terminal
+    control, and a vanishing Hamiltonian. The first two fix (a, b) in closed
+    form for each horizon T = tf - t0 (``_pinned_slope``, b = -a*tf),
+    leaving the Hamiltonian as a scalar root in T. Returns (arc, trajectory).
     """
     D = cfg.exit_distance
     if v0 <= 0:
         raise ConfigError("entry speed must be positive for a free-time solve")
     if cfg.gamma == 0.0:
-        tf = t0 + D / v0
-        c, d = _init_cd(t0, v0, 0.0, 0.0)
-        params = UnconstrainedParams(0.0, 0.0, c, d, tf)
+        arc = CubicArc.through(t0, t0 + D / v0, 0.0, v0, 0.0, 0.0)
         if report is not None:
             report.log("free_terminal", residual=0.0, iters=0)
-        return params, _single_cubic_traj(t0, tf, 0.0, 0.0, c, d)
+        return arc, PiecewiseTrajectory((arc,))
 
-    # shifted frame: u(tf) = 0 and p(tf) = D give a = 3*(v0*T - D)/T^3, and
     # H(tf) = gamma + a*v0 - a^2*T^2/2 falls from gamma at T = D/v0 as T shrinks
     def f_of_T(T):
-        a = 3.0 * (v0 * T - D) / T**3
+        a = _pinned_slope(v0, T, D)
         return cfg.gamma + a * v0 - 0.5 * a * a * T * T
 
     roots = bracket_roots(f_of_T, D / v0 * 0.5 ** np.arange(16))
     if not roots:
         raise StructureError("free-terminal bracket not found")
     T = roots[0]
-    a = 3.0 * (v0 * T - D) / T**3
-    b = -a * (t0 + T)
+    a = _pinned_slope(v0, T, D)
     tf = t0 + T
-    c, d = _init_cd(t0, v0, a, b)
+    arc = CubicArc.through(t0, tf, 0.0, v0, a, -a * tf)
     # sanity: accelerate-toward-exit shape (nonincreasing, nonnegative control)
-    if a > 1e-10 or _cub_u(a, b, t0) < -1e-8:
+    if a > 1e-10 or arc.u(t0) < -1e-8:
         raise StructureError("free-terminal solve lost its accelerate/relax shape")
     if report is not None:
         report.log("free_terminal", residual=abs(f_of_T(T)))
-    return UnconstrainedParams(a, b, c, d, tf), _single_cubic_traj(t0, tf, a, b, c, d)
+    return arc, PiecewiseTrajectory((arc,))
 
 
 def solve_p1_fixed(t0, v0, tf, cfg: ScenarioConfig, report: SolveReport | None = None):
-    """Pinned-terminal-time unconstrained solve (linear system).
+    """Pinned-terminal-time unconstrained solve, in closed form.
 
-    Rows: entry position, entry speed, exit position, vanishing terminal
-    control. Residual is checked at 1e-12 relative.
+    The cubic leaves the entry state, and p(tf) = D with u(tf) = 0 give the
+    slope from ``_pinned_slope`` and b = -a*tf, so u(tf) is exactly zero.
+    The logged residual is |p(tf) - D|. Returns (arc, trajectory).
     """
     if tf <= t0 + 1e-9:
         raise ConfigError("terminal time must exceed the entry time")
     D = cfg.exit_distance
-    A = np.array([
-        [t0**3 / 6.0, 0.5 * t0**2, t0, 1.0],
-        [0.5 * t0**2, t0, 1.0, 0.0],
-        [tf**3 / 6.0, 0.5 * tf**2, tf, 1.0],
-        [tf, 1.0, 0.0, 0.0],
-    ])
-    rhs = np.array([0.0, v0, D, 0.0])
-    x = np.linalg.solve(A, rhs)
-    resid = float(np.max(np.abs(A @ x - rhs)))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if resid > 1e-12 * scale:
-        raise SolverError(f"fixed-terminal linear solve residual {resid:.3e} too large")
-    a, b, c, d = (float(z) for z in x)
+    a = _pinned_slope(v0, tf - t0, D)
+    arc = CubicArc.through(t0, tf, 0.0, v0, a, -a * tf)
     if report is not None:
-        report.log("fixed_terminal", residual=resid / scale, iters=0, tf=tf)
-    return UnconstrainedParams(a, b, c, d, tf), _single_cubic_traj(t0, tf, a, b, c, d)
+        report.log("fixed_terminal", residual=abs(arc.p(tf) - D), iters=0, tf=tf)
+    return arc, PiecewiseTrajectory((arc,))
 
 
 def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
@@ -198,7 +155,8 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
 
     The exit time satisfies v_kf*(tf - t_kf) = phi*vf + delta0 together with
     the transversality pair lambda_v(tf) = -eta*phi and
-    H(tf) + eta*v_kf = 0. Unknowns (a, b, eta, tf).
+    H(tf) + eta*v_kf = 0. Unknowns (a, b, eta, tf). Returns
+    (arc, trajectory, eta).
     """
     t_kf, v_kf = leader.tf, leader.vf
     if v_kf <= 0.0:
@@ -208,50 +166,49 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
     def residual(x):
         a, b, eta, z = x
         tf = t_kf + math.exp(z)
-        c, d = _init_cd(t0, v0, a, b)
-        uf = _cub_u(a, b, tf)
-        vf = _cub_v(a, b, c, tf)
+        # a span that does not move with the iterate tf
+        cubic = CubicArc.through(t0, t0, 0.0, v0, a, b)
+        uf = cubic.u(tf)
+        vf = cubic.v(tf)
         return np.array([
-            _cub_p(a, b, c, d, tf) - D,
+            cubic.p(tf) - D,
             v_kf * (tf - t_kf) - cfg.phi * vf - cfg.delta0,
             uf - eta * cfg.phi,
             cfg.gamma - 0.5 * uf * uf + a * vf + eta * v_kf,
         ])
 
-    # warm start: fixed-point of the headway bound through pinned solves
+    # warm start: fixed-point of the headway bound through pinned solves,
+    # whose zero exit control starts the multiplier at zero
     tf_g = t_kf + (cfg.phi * v0 + cfg.delta0) / v_kf
     for _ in range(6):
-        params, _ = solve_p1_fixed(t0, v0, tf_g, cfg)
-        vf_g = _cub_v(params.a, params.b, params.c, tf_g)
-        tf_new = t_kf + (cfg.phi * vf_g + cfg.delta0) / v_kf
+        arc, _ = solve_p1_fixed(t0, v0, tf_g, cfg)
+        tf_new = t_kf + (cfg.phi * arc.v(tf_g) + cfg.delta0) / v_kf
         if abs(tf_new - tf_g) < 1e-9:
             tf_g = tf_new
             break
         tf_g = tf_new
-    params, _ = solve_p1_fixed(t0, v0, tf_g, cfg)
-    eta_g = _cub_u(params.a, params.b, tf_g) / cfg.phi if cfg.phi > 0 else 0.0
+    arc, _ = solve_p1_fixed(t0, v0, tf_g, cfg)
     zg = math.log(max(tf_g - t_kf, 1e-6))
     starts = [
-        (params.a, params.b, eta_g, zg),
-        (params.a, params.b, 0.0, zg),
+        (arc.a, arc.b, 0.0, zg),
         (0.0, 0.0, 0.0, zg),
     ]
     if cfg.phi == 0.0 and cfg.delta0 == 0.0:
         # boundary collapses to tf = t_kf exactly
-        params, traj = solve_p1_fixed(t0, v0, t_kf, cfg, report=report)
+        arc, traj = solve_p1_fixed(t0, v0, t_kf, cfg, report=report)
         if report is not None:
             report.log("follower_terminal", residual=0.0, detail="collapsed to pinned terminal")
-        return params, traj, 0.0
+        return arc, traj, 0.0
     res = solve_system(residual, starts)
     if not res.converged:
         raise StructureError(
             f"follower-terminal solve failed (residual {res.residual_norm:.3e})")
-    a, b, eta, z = res.x
+    a, b, eta, z = (float(x) for x in res.x)
     tf = t_kf + math.exp(z)
-    c, d = _init_cd(t0, v0, a, b)
+    arc = CubicArc.through(t0, tf, 0.0, v0, a, b)
     if report is not None:
         report.log("follower_terminal", residual=res.residual_norm, iters=res.iterations, tf=tf)
-    return UnconstrainedParams(a, b, c, d, tf), _single_cubic_traj(t0, tf, a, b, c, d), float(eta)
+    return arc, PiecewiseTrajectory((arc,)), eta
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +249,14 @@ def _entry_coeffs(t0, v0, phi, d0, leader, tau):
 
 def _entry_block(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
                  t_hint=None):
-    """Incoming cubic osculating the gap boundary.
+    """Incoming cubic osculating the gap boundary, as an arc on [t0, tau1].
 
     Finds (a, b, tau1) so that the gap, its rate, and its acceleration all
     vanish at tau1 along the cubic: a scalar root-find on the
     gap-acceleration mismatch, with (a, b) linear at each tau. Independent of
     everything after tau1. ``t_hint`` (e.g. the first violation time) only
-    orders the candidate roots.
+    orders the candidate roots; the first whose approach keeps the gap
+    closed (``_gap_closed``) wins.
     """
     phi, d0 = cfg.phi, cfg.delta0
     t_hi = leader.tf + 2.0 * phi + 1.0
@@ -309,21 +267,14 @@ def _entry_block(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
     if not roots:
         raise StructureError("no osculating junction with the gap boundary")
 
-    def admissible(tau1):
-        a, b, _ = _entry_coeffs(t0, v0, phi, d0, leader, tau1)
-        c, d = _init_cd(t0, v0, a, b)
-        ts = np.linspace(t0, tau1, 200)
-        p = _cub_p(a, b, c, d, ts)
-        v = _cub_v(a, b, c, ts)
-        pk = leader.sample(ts)[0]
-        gap = p + phi * v + d0 - pk
-        return np.max(gap) <= 5e-7, a, b
-
     key = (lambda r: abs(r - t_hint)) if t_hint is not None else (lambda r: r)
     for tau1 in sorted(roots, key=key):
-        ok, a, b = admissible(tau1)
-        if ok and tau1 > t0 + 1e-6:
-            return float(a), float(b), float(tau1)
+        if tau1 <= t0 + 1e-6:
+            continue
+        a, b, _ = _entry_coeffs(t0, v0, phi, d0, leader, tau1)
+        entry = CubicArc.through(t0, float(tau1), 0.0, v0, a, b)
+        if _gap_closed(entry, leader, cfg):
+            return entry
     raise StructureError("every osculating junction leaves the approach infeasible")
 
 
@@ -360,8 +311,8 @@ def _ride_pieces(leader: PiecewiseTrajectory, tau1, u_entry, cfg: ScenarioConfig
         if t_end <= t_cur + 1e-12:
             t_cur = arc.t_end + 1e-12
             continue
-        poly_u = _cub_u(a, b, t_cur) + (np.polynomial.polynomial.polyval(t_cur, forced)
-                                        * math.exp(-t_cur / phi) if forced else 0.0)
+        poly_u = a * t_cur + b + (np.polynomial.polynomial.polyval(t_cur, forced)
+                                  * math.exp(-t_cur / phi) if forced else 0.0)
         k = (u_cur - poly_u) * math.exp(t_cur / phi)
         amp = (forced[0] + k,) + forced[1:] if forced else (k,)
         piece = ExpTrackArc(t_start=t_cur, t_end=t_end, a=a, b=b, c=c, d=d,
@@ -402,7 +353,7 @@ class SafetySolution:
     tau1: float
     tau2: float | None          # None when the boundary is ridden to the exit
     tf: float
-    entry: UnconstrainedParams  # incoming cubic (a, b, c, d)
+    entry: CubicArc             # incoming cubic on [t0, tau1]
     eta: float | None = None
 
 
@@ -421,11 +372,9 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
     D = cfg.exit_distance
     if cfg.phi <= 0.0:
         raise ConfigError("gap riding needs a positive headway constant")
-    a, b, tau1 = _entry_block(t0, v0, leader, cfg, t_hint=t_hint)
-    if tau1 <= t0 + 1e-9:
-        raise StructureError("gap boundary reached immediately; entry state infeasible")
-    c, d = _init_cd(t0, v0, a, b)
-    u_entry = _cub_u(a, b, tau1)
+    entry = _entry_block(t0, v0, leader, cfg, t_hint=t_hint)
+    tau1 = entry.t_end
+    u_entry = entry.u(tau1)
     v_kf = leader.vf
 
     horizon = max(leader.tf, tf_fixed or 0.0, tau1) + 8.0 + (cfg.phi * max(v_kf, v0) + cfg.delta0) / max(v_kf, 1e-6)
@@ -444,53 +393,38 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
         exit_solution = _exit_block(pieces, tau1, None, cfg, leader, mode="follower")
 
     if exit_solution is not None:
-        e, r, q, m, tau2, tf, eta = exit_solution
+        tail, eta = exit_solution
+        tau2, tf = tail.t_start, tail.t_end
         if tau2 > tau1 + 1e-9 and tf > tau2 + 1e-9:
-            ride = _truncate_ride(pieces, tau2)
-            tail = CubicArc(t_start=tau2, t_end=tf, a=e, b=r, c=q, d=m)
-            traj = PiecewiseTrajectory(tuple([CubicArc(t_start=t0, t_end=tau1,
-                                                       a=a, b=b, c=c, d=d)] + ride + [tail]))
-            sol = SafetySolution(tau1=tau1, tau2=tau2, tf=tf,
-                                 entry=UnconstrainedParams(a, b, c, d, tau1), eta=eta)
+            traj = PiecewiseTrajectory((entry, *_truncate_ride(pieces, tau2), tail))
+            sol = SafetySolution(tau1=tau1, tau2=tau2, tf=tf, entry=entry, eta=eta)
             if report is not None:
                 report.log("gap_ride_with_departure", tau1=tau1, tau2=tau2, tf=tf)
             return traj, sol
-        exit_solution = None
 
     if terminal == "fixed":
         raise StructureError("no admissible departure for the pinned terminal time")
-    if exit_solution is None:
-        # ride the boundary through the merging-zone exit
-        while _ride_eval(pieces, horizon)[0] < D:
-            horizon += 10.0
-            pieces = _ride_pieces(leader, tau1, u_entry, cfg, horizon)
-        tf = bracket_roots(lambda t: _ride_eval(pieces, t)[0] - D, (tau1, horizon))[0]
-        ride = _truncate_ride(pieces, tf)
-        traj = PiecewiseTrajectory(tuple([CubicArc(t_start=t0, t_end=tau1,
-                                                   a=a, b=b, c=c, d=d)] + ride))
-        sol = SafetySolution(tau1=tau1, tau2=None, tf=tf,
-                             entry=UnconstrainedParams(a, b, c, d, tau1))
-        if report is not None:
-            report.log("gap_ride_to_exit", tau1=tau1, tf=tf)
-        return traj, sol
-    raise StructureError("gap-riding structure did not close")
+    # ride the boundary through the merging-zone exit
+    while _ride_eval(pieces, horizon)[0] < D:
+        horizon += 10.0
+        pieces = _ride_pieces(leader, tau1, u_entry, cfg, horizon)
+    roots = bracket_roots(lambda t: _ride_eval(pieces, t)[0] - D, (tau1, horizon))
+    if not roots:
+        # p(tau1) > D: the approach itself runs past the exit
+        raise StructureError("gap boundary joined past the merging-zone exit")
+    tf = roots[0]
+    traj = PiecewiseTrajectory((entry, *_truncate_ride(pieces, tf)))
+    sol = SafetySolution(tau1=tau1, tau2=None, tf=tf, entry=entry)
+    if report is not None:
+        report.log("gap_ride_to_exit", tau1=tau1, tf=tf)
+    return traj, sol
 
 
-def _tail_qm(pieces, e, r, tau2):
-    """Tail-cubic c, d matching boundary position and speed at tau2."""
-    p_r, v_r, _ = _ride_eval(pieces, tau2)
-    q = v_r - (0.5 * e * tau2 + r) * tau2
-    m = p_r - ((e / 6.0 * tau2 + 0.5 * r) * tau2 + q) * tau2
-    return q, m
-
-
-def _tail_feasible(pieces, leader, e, r, q, m, tau2, tf, cfg):
-    """Departing cubic must keep a nonpositive gap after leaving the boundary."""
-    ts = np.linspace(tau2, tf, 200)
-    p = _cub_p(e, r, q, m, ts)
-    v = _cub_v(e, r, q, ts)
-    pk = leader.extended(tf + 1e-6).sample(ts)[0]
-    return np.max(p + cfg.phi * v + cfg.delta0 - pk) <= 5e-7
+def _gap_closed(arc, leader: PiecewiseTrajectory, cfg: ScenarioConfig):
+    """Whether the rear-end gap behind ``leader`` stays within 5e-7 of
+    closed along ``arc``, by the exact scan of ``scan_violations``."""
+    track = _gap_track(PiecewiseTrajectory((arc,)), leader.extended(arc.t_end), cfg)
+    return _first_crossing(track, +1, 0.0, 5e-7) is None
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -528,9 +462,9 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
 
     g is scanned on 300 points of tau2 between tau1 and the end of the ride
     (and the pinned tf), NaN where no tail of positive length exists; the
-    first root whose tail keeps the gap closed wins. Returns
-    (e, r, q, m, tau2, tf, eta) or None when no admissible departure exists
-    (the signal for riding to the exit instead).
+    first root whose tail keeps the gap closed (``_gap_closed``) wins.
+    Returns (tail arc on [tau2, tf], eta) or None when no admissible
+    departure exists (the signal for riding to the exit instead).
     """
     D, gamma, phi = cfg.exit_distance, cfg.gamma, cfg.phi
     t_kf, v_kf = leader.tf, leader.vf
@@ -565,11 +499,10 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
         return None
     for tau2 in bracket_roots(lambda t: tail(t)[2], np.linspace(tau1 + 1e-6, hi, 300)):
         tf, e, _ = tail(tau2)
-        r = _ride_eval(pieces, tau2)[2] - e * tau2
-        q, m = _tail_qm(pieces, e, r, tau2)
-        if _tail_feasible(pieces, leader, e, r, q, m, tau2, tf, cfg):
-            eta = _cub_u(e, r, tf) / phi if mode == "follower" else None
-            return e, r, q, m, tau2, tf, eta
+        p_r, v_r, u_r = _ride_eval(pieces, tau2)
+        arc = CubicArc.through(tau2, tf, p_r, v_r, e, u_r - e * tau2)
+        if _gap_closed(arc, leader, cfg):
+            return arc, (arc.u(tf) / phi if mode == "follower" else None)
     return None
 
 
@@ -579,85 +512,57 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
 
 def solve_lateral(t0, v0, tm, cfg: ScenarioConfig, *, terminal="free",
                   tf_fixed=None, report: SolveReport | None = None):
-    """Two cubics joined where the position cap p(tm) = L binds.
+    """Two cubics joined where the position cap p(tm) = L binds, in closed form.
 
     Position, speed, and control stay continuous at the junction; the costate
-    jump lands entirely in lambda_p (zeta = a - e >= 0). Pinned terminal time
-    gives a linear 8x8 system; free terminal adds the vanishing-Hamiltonian
-    condition on the departing cubic through an outer scalar solve.
+    jump lands entirely in lambda_p (zeta = a - e >= 0). With tau = tm - t0,
+    s = tf - tm and K = 3L/(2 tau) - v0/2, the approach's p(tm) = L gives
+    v(tm) = K + u(tm)*tau/4, and the tail's u(tf) = 0 gives u(tm) = -e*s, so
+    the tail's p(tf) = D fixes its slope e = (L - D + s*K)/(s^2*(tau/4 + s/3)).
+    The approach slope is a = 3*(v0*tau + u(tm)*tau^2/2 - L)/tau^3. A pinned
+    terminal gives s directly; a free terminal brackets the root of the tail
+    Hamiltonian H(s) = gamma + e*(K - e*s*(tau/4 + s/2)) on a geometric
+    ladder of dwell times.
     """
     L, D = cfg.L, cfg.exit_distance
     if tm <= t0 + 1e-9:
         raise ConfigError("position-cap time precedes the entry time")
+    tau = tm - t0
+    K = 1.5 * L / tau - 0.5 * v0
 
-    def linear_solve(tf):
-        A = np.zeros((8, 8))
-        rhs = np.zeros(8)
-        # incoming cubic rows: entry position/speed, cap position
-        A[0, :4] = [t0**3 / 6.0, 0.5 * t0**2, t0, 1.0]
-        A[1, :4] = [0.5 * t0**2, t0, 1.0, 0.0]
-        rhs[1] = v0
-        A[2, :4] = [tm**3 / 6.0, 0.5 * tm**2, tm, 1.0]
-        rhs[2] = L
-        # departing cubic rows: cap position, exit position, zero exit control
-        A[3, 4:] = [tm**3 / 6.0, 0.5 * tm**2, tm, 1.0]
-        rhs[3] = L
-        A[4, 4:] = [tf**3 / 6.0, 0.5 * tf**2, tf, 1.0]
-        rhs[4] = D
-        A[5, 4:] = [tf, 1.0, 0.0, 0.0]
-        # junction continuity of speed and control
-        A[6, :4] = [0.5 * tm**2, tm, 1.0, 0.0]
-        A[6, 4:] = [-0.5 * tm**2, -tm, -1.0, 0.0]
-        A[7, :4] = [tm, 1.0, 0.0, 0.0]
-        A[7, 4:] = [-tm, -1.0, 0.0, 0.0]
-        x = np.linalg.solve(A, rhs)
-        resid = float(np.max(np.abs(A @ x - rhs)))
-        return x, resid
+    def tail_slope(s):
+        return (L - D + s * K) / (s * s * (0.25 * tau + s / 3.0))
 
     if terminal == "fixed":
         if tf_fixed is None or tf_fixed <= tm + 1e-9:
             raise ConfigError("pinned terminal time must lie beyond the cap time")
-        x, resid = linear_solve(tf_fixed)
         tf = tf_fixed
     else:
-        # the tail Hamiltonian runs from -inf at zero dwell up through its
-        # root, then humps back toward 0+; bracket the single crossing on a
-        # geometric ladder of dwell times
-        def h_tail(dur):
-            tf = tm + dur
-            try:
-                x, _ = linear_solve(tf)
-            except np.linalg.LinAlgError:
-                return math.nan
-            e, r, q = x[4], x[5], x[6]
-            uf = _cub_u(e, r, tf)
-            vf = _cub_v(e, r, q, tf)
-            return cfg.gamma - 0.5 * uf * uf + e * vf
+        # H runs from -inf at zero dwell up through its root, then humps back
+        # toward 0+; bracket the single crossing
+        def h_tail(s):
+            e = tail_slope(s)
+            return cfg.gamma + e * (K - e * s * (0.25 * tau + 0.5 * s))
 
         base = max((D - L) / max(v0, 0.5), 0.5)
-        ladder = [base * f for f in (1e-9, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8,
-                                     1.6, 3.2, 6.4, 12.8, 25.6)]
-        if tf_fixed:
-            ladder.append(max(tf_fixed - tm, 1e-3))
-            ladder.sort()
-        roots = bracket_roots(h_tail, ladder)
+        ladder = base * np.array((1e-9, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8,
+                                  1.6, 3.2, 6.4, 12.8, 25.6))
+        roots = bracket_roots(h_tail, ladder, h_tail(ladder))
         if not roots:
             raise StructureError("free-terminal position-cap solve failed")
         tf = tm + roots[0]
-        x, resid = linear_solve(tf)
 
-    scale = max(1.0, D)
-    if resid > 1e-12 * scale * 10:
-        raise SolverError(f"position-cap linear solve residual {resid:.3e} too large")
-    a, b, c, d, e, r, q, m = (float(z) for z in x)
-    zeta = a - e
-    first = CubicArc(t_start=t0, t_end=tm, a=a, b=b, c=c, d=d)
-    second = CubicArc(t_start=tm, t_end=tf, a=e, b=r, c=q, d=m)
+    s = tf - tm
+    e = tail_slope(s)
+    u_m = -e * s
+    a = 3.0 * (v0 * tau + 0.5 * u_m * tau * tau - L) / tau**3
+    first = CubicArc.through(t0, tm, 0.0, v0, a, u_m - a * tm)
+    second = CubicArc.through(tm, tf, L, K - 0.25 * e * s * tau, e, -e * tf)
     traj = PiecewiseTrajectory((first, second))
     if report is not None:
-        report.log("position_cap", residual=resid / scale, tm=tm, tf=tf)
-    return traj, {"a": a, "b": b, "c": c, "d": d, "e": e, "r": r, "q": q, "m": m,
-                  "tf": tf, "zeta": zeta}
+        report.log("position_cap", residual=abs(second.p(tf) - D), tm=tm, tf=tf)
+    return traj, {"a": a, "b": first.b, "c": first.c, "d": first.d, "e": e,
+                  "r": second.b, "q": second.c, "m": second.d, "tf": tf, "zeta": a - e}
 
 
 # ---------------------------------------------------------------------------
@@ -770,19 +675,15 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
 
     b = -a * tau2
     arcs = []
+    t1, v1, p1 = t0, v0, 0.0
     if tau1 > t0 + 1e-12:
         arcs.append(SatArc(t_start=t0, t_end=tau1, u0=u, v_start=v0, p_start=0.0))
         r = tau1 - t0
         t1, v1, p1 = tau1, v0 + u * r, (v0 + 0.5 * u * r) * r
-    else:
-        t1, v1, p1 = t0, v0, 0.0
-    c = v1 - (0.5 * a * t1 + b) * t1
-    d = p1 - ((a / 6.0 * t1 + 0.5 * b) * t1 + c) * t1
+    t2, v2, p2 = t1, v1, p1
     if tau2 > t1 + 1e-12:
-        arcs.append(CubicArc(t_start=t1, t_end=tau2, a=a, b=b, c=c, d=d))
-        t2, v2, p2 = tau2, _cub_v(a, b, c, tau2), _cub_p(a, b, c, d, tau2)
-    else:
-        t2, v2, p2 = t1, v1, p1
+        arcs.append(CubicArc.through(t1, tau2, p1, v1, a, b))
+        t2, v2, p2 = tau2, arcs[-1].v(tau2), arcs[-1].p(tau2)
     if tf is None:
         tf = t2 + (D - p2) / v_sat
         if tf < t2 - 1e-9:
@@ -989,7 +890,6 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
     window = window_for(None)
     report.window = window
     if window.t_upper is not None and window.t_lower > window.t_upper + 1e-9:
-        report.feasible = False
         report.log("window", detail="empty terminal window")
         raise InfeasibleProblem(
             f"CAV {arrival.id}: terminal window empty "
@@ -1079,7 +979,6 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
                     report.terminal_mode = "free"
                 traj = solve(terminal, tf_pin)
         except StructureError as exc:
-            report.feasible = False
             report.log("failure", detail=str(exc))
             raise InfeasibleProblem(f"CAV {arrival.id}: {exc}", report) from exc
         structure = family
@@ -1106,7 +1005,6 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
         leftovers = scan_violations(traj, cfg, u_limits=u_limits, leader=leader,
                                     lateral_tm=lateral_tm)
         if leftovers:
-            report.feasible = False
             report.log("failure", detail=f"activation rounds exhausted: {leftovers[0]}")
             raise InfeasibleProblem(
                 f"CAV {arrival.id}: activation rounds exhausted", report)

@@ -15,8 +15,8 @@ import numpy as np
 from cavcross.model import (ConfigError, CruiseArc, CubicArc, PiecewiseTrajectory,
                             SatArc, ScenarioConfig)
 from cavcross.newton import bracket_roots, solve_system
-from cavcross.solver import (SolveReport, StructureError, _cub_p, _cub_u, _cub_v,
-                             _init_cd)
+from cavcross.solver import SolveReport, StructureError
+from lu_reference import _cub_p, _cub_u, _cub_v, _init_cd
 
 
 def solve_limits_newton(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,

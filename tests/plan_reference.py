@@ -41,7 +41,6 @@ def plan_chain(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
     window = window_for(None)
     report.window = window
     if window.t_upper is not None and window.t_lower > window.t_upper + 1e-9:
-        report.feasible = False
         report.log("window", detail="empty terminal window")
         raise InfeasibleProblem(
             f"CAV {arrival.id}: terminal window empty "
@@ -154,7 +153,6 @@ def plan_chain(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
             else:  # pragma: no cover
                 raise StructureError(f"unknown violation kind {kind}")
         except StructureError as exc:
-            report.feasible = False
             report.log("failure", detail=str(exc))
             raise InfeasibleProblem(f"CAV {arrival.id}: {exc}", report) from exc
 
@@ -186,7 +184,6 @@ def plan_chain(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
         leftovers = scan_violations(traj, cfg, u_limits=u_limits, leader=leader,
                                     lateral_tm=lateral_tm)
         if leftovers:
-            report.feasible = False
             report.log("failure", detail=f"activation rounds exhausted: {leftovers[0]}")
             raise InfeasibleProblem(
                 f"CAV {arrival.id}: activation rounds exhausted", report)

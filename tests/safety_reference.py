@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from cavcross.newton import solve_system
-from cavcross.solver import (StructureError, _cub_p, _cub_u, _entry_coeffs,
-                             _ride_eval, _ride_pieces, _tail_qm)
+from cavcross.model import CubicArc
+from cavcross.solver import StructureError, _entry_coeffs, _ride_eval, _ride_pieces
 
 
 def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
@@ -38,16 +38,15 @@ def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
         a, b, g = _entry_coeffs(t0, v0, phi, d0, lead_ext, tau1)
         if math.isnan(g):
             return np.array([1e6, 1e6])
-        u_entry = _cub_u(a, b, tau1)
+        u_entry = a * tau1 + b
         try:
             pieces = _ride_pieces(leader, tau1, u_entry, cfg, tf_fixed + 1.0)
         except StructureError:
             return np.array([1e6, 1e6])
-        _, _, u_r = _ride_eval(pieces, tau2)
+        p_r, v_r, u_r = _ride_eval(pieces, tau2)
         e = u_r / (tau2 - tf_fixed)
-        r = -e * tf_fixed
-        q, m = _tail_qm(pieces, e, r, tau2)
-        return np.array([g, _cub_p(e, r, q, m, tf_fixed) - D])
+        tail = CubicArc.through(tau2, tf_fixed, p_r, v_r, e, -e * tf_fixed)
+        return np.array([g, tail.p(tf_fixed) - D])
 
     starts = []
     for f1, f2 in ((0.3, 0.5), (0.5, 0.5), (0.2, 0.4), (0.4, 0.7)):
@@ -60,7 +59,7 @@ def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
     tau1 = t0 + math.exp(za)
     tau2 = tau1 + (tf_fixed - tau1) / (1.0 + math.exp(-zb))
     a, b, _ = _entry_coeffs(t0, v0, phi, d0, lead_ext, tau1)
-    pieces = _ride_pieces(leader, tau1, _cub_u(a, b, tau1), cfg, tf_fixed + 1.0)
+    pieces = _ride_pieces(leader, tau1, a * tau1 + b, cfg, tf_fixed + 1.0)
     _, _, u_r = _ride_eval(pieces, tau2)
     e = u_r / (tau2 - tf_fixed)
     r = -e * tf_fixed

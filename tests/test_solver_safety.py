@@ -7,8 +7,10 @@ from cavcross.model import (CubicArc, ExpTrackArc, PiecewiseTrajectory,
                             ScenarioConfig)
 from cavcross.solver import (SolveReport, StructureError, _entry_coeffs,
                              solve_p1_fixed, solve_safety)
+from cavcross.sim import load_scenario, run_simulation
 from cavcross.verifier import audit
 from safety_reference import solve_safety_joint
+from test_plan_replay import _varied_scenario
 
 CFG = ScenarioConfig(v_max=20.0)
 
@@ -193,3 +195,30 @@ def test_follower_terminal_departs_onto_the_headway_bound():
     J = traj.cost(CFG.gamma).objective
     assert J == pytest.approx(4.537616, abs=1e-6)
     assert J < 4.5376203
+
+
+@pytest.mark.parametrize("terminal, tf_fixed, lead", [("follower", None, _lead_pinned(39.0)),
+                                                      ("fixed", 42.5, _lead_dip())])
+def test_gap_ride_samples_only_the_leader_on_the_entry_grid(monkeypatch, terminal,
+                                                           tf_fixed, lead):
+    """The approach and departure gap checks scan the arcs exactly."""
+    calls = []
+    sample = PiecewiseTrajectory.sample
+
+    def counted(self, ts):
+        calls.append(len(ts))
+        return sample(self, ts)
+
+    monkeypatch.setattr(PiecewiseTrajectory, "sample", counted)
+    solve_safety(1.5, 12.0, lead, CFG, terminal=terminal, tf_fixed=tf_fixed)
+    assert calls == [400]
+
+
+def test_approach_past_the_exit_declines():
+    """A leader pinned late lets CAV 6 of varied-caps seed 272 meet the gap
+    boundary only beyond the merging-zone exit: a decline, not a crash."""
+    result = run_simulation(load_scenario(_varied_scenario(272)))
+    assert result.exit_code == 2
+    declined = [r for r in result.runs if r.error is not None]
+    assert [r.arrival.id for r in declined] == [6]
+    assert "gap boundary joined past the merging-zone exit" in str(declined[0].error)

@@ -69,7 +69,7 @@ def test_fixed_terminal_energy_matches_quadrature():
 
 def test_fixed_at_free_time_recovers_free_solution():
     free_params, _ = solve_p0_free(0.0, 10.0, CFG)
-    pinned, _ = solve_p1_fixed(0.0, 10.0, free_params.tf, CFG)
+    pinned, _ = solve_p1_fixed(0.0, 10.0, free_params.t_end, CFG)
     assert pinned.a == pytest.approx(free_params.a, abs=1e-9)
     assert pinned.b == pytest.approx(free_params.b, abs=1e-9)
 
@@ -77,7 +77,7 @@ def test_fixed_at_free_time_recovers_free_solution():
 def test_fixed_terminal_cost_grows_away_from_free_optimum():
     free_params, free_traj = solve_p0_free(0.0, 10.0, CFG)
     j_free = free_traj.cost(CFG.gamma).objective
-    for tf in (free_params.tf - 1.5, free_params.tf + 1.5):
+    for tf in (free_params.t_end - 1.5, free_params.t_end + 1.5):
         _, traj = solve_p1_fixed(0.0, 10.0, tf, CFG)
         assert traj.cost(CFG.gamma).objective > j_free
 
