@@ -24,7 +24,7 @@ import numpy as np
 FD_STEP = 1e-7
 MAX_ITER = 100
 TOL = 1e-10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)   # a Python float, so every root is one
 
 
 @dataclass

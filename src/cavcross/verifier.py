@@ -11,7 +11,12 @@ the result, a convex QP, to its exact optimum with a Mehrotra
 predictor-corrector interior-point method. Each Newton step is one
 block-tridiagonal solve by block cyclic reduction (``BlockTridiagonal``),
 O(n) in the number of steps, as in Rao, Wright and Rawlings (1998). With
-the horizon free it scans and golden-sections the horizon over such solves.
+the horizon free it scans and golden-sections the horizon over such solves,
+solving only the horizons whose cost can change a decision: a horizon's
+cost is at least its travel-time term gamma*T, and a horizon too short to
+reach the exit at full acceleration and top speed is infeasible, so
+comparisons that these bounds settle are skipped. The answer is the one
+that solving every candidate gives, bit for bit.
 ``iters`` caps the interior-point iterations of each solve, ``seed`` has no
 effect, and ``OracleResult.penalty`` is the total elastic slack: the gap,
 hold and terminal rows may be exceeded at a price, so an unreachable target
@@ -173,6 +178,7 @@ GAP_REL_TOL = 1e-10     # complementarity gap over the cost at convergence
 RES_TOL = 1e-9          # primal and dual residuals at convergence
 START_MU = 1.0          # complementarity product of the starting point
 FEASIBLE_TOL = 1e-4     # worst rolled-out violation of a feasible answer (m, m/s)
+INFEASIBLE_PRICE = 1e3  # added to the cost of an infeasible horizon in the free search
 
 
 @dataclass
@@ -539,6 +545,20 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
             var += a * dvar
 
 
+def _unreachable(T, v0, cfg: ScenarioConfig, u_hi):
+    """True if no answer the oracle calls feasible reaches the exit in ``T``.
+
+    A feasible answer has v <= v_max + FEASIBLE_TOL at the grid points, and
+    so everywhere (v is piecewise linear), and u <= u_hi; it travels at most
+    as far as full acceleration to that speed and cruise after. Short of the
+    exit by more than ten times FEASIBLE_TOL, it misses the terminal row.
+    """
+    v_bar = cfg.v_max + FEASIBLE_TOL
+    t1 = min(T, max(v_bar - v0, 0.0) / u_hi) if u_hi > 0.0 else T
+    reach = v0 * t1 + 0.5 * u_hi * t1 * t1 + v_bar * (T - t1)
+    return reach < cfg.exit_distance - 10.0 * FEASIBLE_TOL
+
+
 def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
                          leader=None, lateral_tm=None, u_limits=None,
                          iters=10000, seed=0):
@@ -546,16 +566,31 @@ def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
 
     With ``tf`` given, solves the transcription on n = max(round((tf -
     t0)/dt), 8) steps exactly (``_transcription_qp``); with ``tf=None``,
-    scans candidate horizons bracketing the best one and refines by golden
-    section on the outer cost. ``iters`` caps the interior-point iterations
-    of each solve. ``seed`` is accepted for callers that pass one and has no
-    effect: the solve is deterministic.
+    scans 7 candidate horizons from t0 + D/max(v_max, v0) bracketing the
+    best one and refines by 10 golden-section steps on the outer cost: the
+    cost, plus INFEASIBLE_PRICE if infeasible. A candidate is solved only if
+    its cost can change a decision, by two exact rules:
+
+    * the outer cost is at least the travel-time term gamma*n*h, so a scan
+      point whose term reaches the least cost before it cannot be the first
+      minimum, and a golden point m2 whose term exceeds m1's cost loses;
+    * a horizon that ``_unreachable`` rejects is infeasible, so its outer
+      cost is at least INFEASIBLE_PRICE: such scan points are solved only if
+      no other point costs less, and such a golden point m1 loses to an m2
+      that costs less.
+
+    The result is identical to solving every candidate. ``iters`` caps the
+    interior-point iterations of each solve. ``seed`` is accepted for
+    callers that pass one and has no effect: the solve is deterministic.
     """
     u_lo, u_hi = u_limits if u_limits is not None else (cfg.u_min, cfg.u_max)
 
-    def solve_fixed(tf_val):
+    def steps(tf_val):
         n = max(int(round((tf_val - t0) / dt)), 8)
-        h = (tf_val - t0) / n
+        return n, (tf_val - t0) / n
+
+    def solve_fixed(tf_val):
+        n, h = steps(tf_val)
         leader_p = None
         if leader is not None:
             grid = t0 + np.arange(n + 1) * h
@@ -587,27 +622,61 @@ def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
     if tf is not None:
         return solve_fixed(float(tf))
 
-    # outer scan on the horizon, memoized on the rounded candidate
+    # outer scan on the horizon, memoized on the rounded candidate; a
+    # candidate is solved only when its cost can change a decision
     cache = {}
 
     def outer_cost(tf_val):
         key = round(tf_val, 6)
         if key not in cache:
             res = solve_fixed(tf_val)
-            cache[key] = res.cost if res.feasible else res.cost + 1e3
+            cache[key] = res.cost if res.feasible else res.cost + INFEASIBLE_PRICE
         return cache[key]
+
+    def cost_floor(tf_val):
+        """A lower bound on ``outer_cost(tf_val)`` that solves nothing.
+
+        The travel-time term gamma*n*h, unless the rounded key is cached:
+        then the cached cost itself, which may come from a nearby horizon
+        and so need not exceed this horizon's term.
+        """
+        key = round(tf_val, 6)
+        if key in cache:
+            return cache[key]
+        n, h = steps(tf_val)
+        return cfg.gamma * (n * h)
+
+    def unreachable(tf_val):
+        return _unreachable(tf_val - t0, v0, cfg, u_hi)
 
     t_scan0 = t0 + cfg.exit_distance / max(cfg.v_max, v0)
     t_scan1 = t0 + cfg.exit_distance / max(min(v0, cfg.v_max) * 0.35, 0.5)
     grid = list(np.linspace(t_scan0, t_scan1, 7))
-    best = min(grid, key=outer_cost)
+    # The first minimum of the grid, in increasing tf. A candidate whose
+    # floor reaches the least cost before it cannot be the first minimum.
+    # Unreachable candidates cost at least INFEASIBLE_PRICE and are solved
+    # only if nothing else costs less.
+    costs = [math.inf] * len(grid)
+    least = math.inf
+    for i, g in enumerate(grid):
+        if not unreachable(g) and cost_floor(g) < least:
+            costs[i] = outer_cost(g)
+            least = min(least, costs[i])
+    if not least < INFEASIBLE_PRICE:
+        for i, g in enumerate(grid):
+            if unreachable(g):
+                costs[i] = outer_cost(g)
+    best = grid[min(range(len(grid)), key=costs.__getitem__)]
     span = grid[1] - grid[0]
     lo, hi = best - span, best + span
     phi_g = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(10):
         m1 = hi - phi_g * (hi - lo)
         m2 = lo + phi_g * (hi - lo)
-        if outer_cost(m1) < outer_cost(m2):
+        # outer_cost(m1) < outer_cost(m2), decided from a bound where one suffices
+        if unreachable(m1) and outer_cost(m2) < INFEASIBLE_PRICE:
+            lo = m1
+        elif outer_cost(m1) < cost_floor(m2) or outer_cost(m1) < outer_cost(m2):
             hi = m2
         else:
             lo = m1

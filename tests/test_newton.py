@@ -121,3 +121,11 @@ def test_bracket_roots_skips_nan_gaps():
     # a hole strictly inside a bracket leaves that bracket without a root
     assert bracket_roots(lambda x: math.nan if 1.25 < x < 1.35 else x - 1.3,
                          [1.0, 2.0]) == []
+
+
+def test_bracket_roots_returns_python_floats():
+    # the triple root's last trial point comes from the tolerance clamp of
+    # the interpolation step, which once made the root an np.float64
+    (r,) = bracket_roots(lambda x: (x - 0.3) ** 3, [-2.0, 3.0])
+    assert type(r) is float
+    assert abs(r - 0.3) <= 1e-15

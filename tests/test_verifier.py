@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from scipy.optimize import minimize
 
+from cavcross import verifier
 from cavcross.model import (CubicArc, PiecewiseTrajectory, ScenarioConfig,
                             VehicleArrival)
 from cavcross.solver import plan, solve_p0_free, solve_p1_fixed, solve_safety
-from cavcross.verifier import (BlockTridiagonal, audit, oracle_eval_control,
-                               transcription_oracle)
+from cavcross.verifier import (BlockTridiagonal, OracleResult, audit,
+                               oracle_eval_control, transcription_oracle)
+from oracle_search_reference import free_horizon_oracle
 
 CFG = ScenarioConfig(v_max=20.0)
 CAP = ScenarioConfig(v_max=13.5, u_max=0.2, u_min=-0.2)
@@ -177,6 +180,91 @@ def test_transcription_respects_leader_gap():
     assert res.feasible
     assert res.iterations < ORACLE_ITER_CAP
     assert traj.cost(CFG.gamma).objective <= res.cost * 1.0001
+
+
+# ---------------------------------------------------------------------------
+# the free-horizon search solves only candidates that can change a decision
+# ---------------------------------------------------------------------------
+
+def _assert_same_result(res, ref):
+    for f in dataclasses.fields(OracleResult):
+        assert np.array_equal(getattr(res, f.name), getattr(ref, f.name)), f.name
+
+
+def _c8_free(i):
+    """c8 free instance i (bench's oracle instance of the free family)."""
+    return pytest.param(0.0, 8 + 4 * np.random.default_rng(200 + i).random(), CFG,
+                        0.02, dict, 12, id=f"c8_free_{i}")
+
+
+@pytest.mark.parametrize("t0, v0, cfg, dt, kw, max_solves", [
+    *(_c8_free(i) for i in range(4)),
+    pytest.param(2.0, 12.0, CFG, 0.05,
+                 lambda: {"leader": solve_p1_fixed(0.0, 10.0, 39.0, CFG)[1]}, 13,
+                 id="leader"),
+    pytest.param(2.0, 12.0, CFG, 0.05, lambda: {"lateral_tm": 32.0}, 10, id="hold"),
+    pytest.param(0.0, 13.45, CAP, 0.05, lambda: {"u_limits": (-0.2, 0.2)}, 12,
+                 id="cap_near_v_max"),
+])
+def test_free_horizon_search_matches_solving_every_candidate(monkeypatch, t0, v0, cfg,
+                                                             dt, kw, max_solves):
+    solved = []
+    qp = verifier._transcription_qp
+
+    def counted(*args):
+        solved.append(args[0])
+        return qp(*args)
+
+    monkeypatch.setattr(verifier, "_transcription_qp", counted)
+    kw = kw()
+    ref = free_horizon_oracle(t0, v0, cfg, dt=dt, iters=1500, **kw)
+    assert len(solved) == 19
+    solved.clear()
+    res = transcription_oracle(t0, v0, cfg, dt=dt, iters=1500, **kw)
+    _assert_same_result(res, ref)
+    assert len(solved) <= max_solves
+
+
+def _coast(n, h, v0, *rest):
+    return np.full(n, v0), 0.0, 0
+
+
+def _constant_control(n, h, v0, cfg, *rest):
+    T = n * h
+    u = 2.0 * (cfg.exit_distance - v0 * T) / (T * T)
+    return v0 + u * h * np.arange(1, n + 1), 0.0, 0
+
+
+@pytest.mark.parametrize("qp, v0, cfg", [
+    # coasting at v0 misses the exit on every candidate, so the unreachable
+    # ones, skipped while something costs less, must be solved
+    (_coast, 10.0, CFG),
+    # the constant control that reaches the exit costs gamma*T + 2(D -
+    # v0*T)^2/T^3, zero at the third grid point (T = 280 s), whose
+    # travel-time term lies 0.0074 below the second point's cost
+    (_constant_control, 400.0 / 280.0, ScenarioConfig(v_max=20.0, gamma=1e-4)),
+], ids=["no_feasible_horizon", "near_tie"])
+def test_free_horizon_search_with_a_stand_in_solve(monkeypatch, qp, v0, cfg):
+    monkeypatch.setattr(verifier, "_transcription_qp", qp)
+    ref = free_horizon_oracle(0.0, v0, cfg)
+    res = transcription_oracle(0.0, v0, cfg)
+    _assert_same_result(res, ref)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CAP], ids=["wide", "cap"])
+def test_horizons_called_unreachable_come_back_infeasible(cfg):
+    v0, u_hi, D = 10.0, cfg.u_max, cfg.exit_distance
+    # the fastest time to the exit: full acceleration to v_max, then cruise
+    t_acc = (cfg.v_max - v0) / u_hi
+    fastest = t_acc + (D - v0 * t_acc - 0.5 * u_hi * t_acc ** 2) / cfg.v_max
+    called = 0
+    for T in fastest + 0.05 * np.arange(-10, 11):
+        if verifier._unreachable(T, v0, cfg, u_hi):
+            called += 1
+            res = transcription_oracle(0.0, v0, cfg, tf=T, dt=0.1, iters=1500)
+            assert not res.feasible, f"T = {T:.2f}"
+    # every horizon short of the fastest one, and none past it
+    assert called == 10
 
 
 # ---------------------------------------------------------------------------
