@@ -20,8 +20,6 @@ class TerminalWindow:
     t_lower: float                 # composite lower bound
     t_upper: float | None          # None when the crawl branch diverges (v_min = 0)
     binding: str                   # which term produced t_lower
-    t_speed_control: float         # pure speed/control-limit lower bound
-    vf_hint: float                 # terminal speed of the floor profile
 
 
 def lower_speed_control(t0: float, v0: float, cfg: ScenarioConfig,
@@ -89,5 +87,4 @@ def composite_window(t0: float, v0: float, cfg: ScenarioConfig, *,
     if other_tf is not None:
         terms.append((other_tf, "fifo"))
     t_lo, binding = max(terms, key=lambda kv: kv[0])
-    return TerminalWindow(t_lower=t_lo, t_upper=t_up, binding=binding,
-                          t_speed_control=t_sc, vf_hint=vf_hint)
+    return TerminalWindow(t_lower=t_lo, t_upper=t_up, binding=binding)

@@ -112,9 +112,6 @@ class Coordinator:
     def attach(self, entry: QueueEntry, trajectory: PiecewiseTrajectory):
         entry.trajectory = trajectory
 
-    def solved(self):
-        return [e for e in self.entries if e.trajectory is not None]
-
 
 _BLOCKS = 64   # index blocks per follower grid in the rear-end bound
 

@@ -2,23 +2,25 @@
 
 A vehicle crossing the control zone follows double-integrator dynamics
 (position p, speed v, control u = acceleration). Optimal profiles are pieced
-together from a small set of closed-form arc families:
+together from one closed-form ``Arc``, u(t) = a*t + b + A(t)*exp(-t/phi),
+whose ``kind`` names its family:
 
-* ``CubicArc``       -- u(t) = a*t + b, so v is quadratic and p cubic.
-* ``ExpTrackArc``    -- gap-riding behind a leader: u(t) = a*t + b + A(t)*exp(-t/phi)
-                        with A a (usually constant) polynomial amplitude.
-* ``SatArc``         -- control pinned at a bound, u constant.
-* ``CruiseArc``      -- speed pinned (at a bound or post-exit), u = 0.
+* ``"cubic"``   -- u = a*t + b, so v is quadratic and p cubic.
+* ``"track"``   -- gap-riding behind a leader, with A a (usually constant)
+                   polynomial amplitude.
+* ``"sat"``     -- control pinned at a bound: a = 0, u = b.
+* ``"cruise"``  -- speed pinned (at a bound or post-exit): a = b = 0.
 
-All coefficients are in absolute time. Every arc evaluates p, v, u exactly and
-integrates its own energy 0.5*u^2 in closed form.
+Every polynomial arc is placed by ``Arc.through``. All coefficients are in
+absolute time. Every arc evaluates p, v, u exactly and integrates its own
+energy 0.5*u^2 in closed form.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,110 +85,63 @@ def _exp_antideriv(coeffs, alpha):
 # arcs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_KINDS = ("cubic", "track", "sat", "cruise")
+
+
+@dataclass(frozen=True, init=False)
 class Arc:
+    """One arc of an optimal profile: u = a*t + b + A(t)*exp(-t/phi).
+
+    ``amp`` holds the polynomial amplitude A lowest-order first (empty for a
+    purely polynomial arc); ``phi`` is its time constant. Speed and position
+    follow by exact integration:
+        v = 0.5*a*t^2 + b*t + c - Rv(t) exp(-t/phi)
+        p = a/6*t^3 + 0.5*b*t^2 + c*t + d + Rp(t) exp(-t/phi)
+    with Rv, Rp repeated exponential antiderivatives of A. ``kind`` names
+    the family the arc belongs to: "cubic" (unconstrained), "track" (gap
+    riding; its extrema are scanned for), "sat" (a = 0, b = u at a bound)
+    or "cruise" (a = b = 0).
+    """
+
     t_start: float
     t_end: float
-
-    def __post_init__(self):
-        if not (self.t_end > self.t_start - _EDGE_TOL):
-            raise ConfigError(f"arc has non-positive duration: [{self.t_start}, {self.t_end}]")
-
-    # subclasses implement p/v/u and energy_to(t1, t2)
-    def cubic_amp(self):
-        """Absolute-time (a, b, c, d, amp, phi) view of this arc.
-
-        Every arc kind reads as u = a*t + b + A(t)*exp(-t/phi) with A the
-        polynomial ``amp`` (empty for purely polynomial arcs). Used by the
-        solver when an arc serves as a leader piece for gap tracking.
-        """
-        raise NotImplementedError
-
-    def v_extrema(self):
-        """Interior stationary points of v as (t, v) pairs."""
-        return []
-
-    def u_extrema(self):
-        """Interior stationary points of u as (t, u) pairs."""
-        return []
-
-
-@dataclass(frozen=True)
-class CubicArc(Arc):
     a: float
     b: float
     c: float
     d: float
+    amp: tuple = ()
+    phi: float | None = None
+    kind: str = "cubic"
+    # not fields: the exponential antiderivatives Rv, Rp of ``amp``, and a
+    # tracking arc's stationary points, scanned for on first request
+    _rv = _rp = ()
+    _v_ext = _u_ext = None
+
+    def __init__(self, t_start, t_end, a, b, c, d, amp=(), phi=None, kind="cubic"):
+        # The fields go straight into the instance dict. The __init__ that a
+        # frozen dataclass generates sets them one object.__setattr__ call
+        # at a time, about three times slower, and the planner builds arcs
+        # in its inner loops (``Arc.through`` passes them by position).
+        if not (t_end > t_start - _EDGE_TOL):
+            raise ConfigError(f"arc has non-positive duration: [{t_start}, {t_end}]")
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown arc kind {kind!r}")
+        self.__dict__.update(t_start=t_start, t_end=t_end, a=a, b=b, c=c, d=d,
+                             amp=amp, phi=phi, kind=kind)
+        if amp or kind == "track":
+            if phi is None or phi <= 0.0:
+                raise ConfigError("phi must be positive for a tracking arc")
+            if amp:
+                rv = _exp_antideriv(amp, 1.0 / phi)
+                self.__dict__.update(_rv=rv, _rp=_exp_antideriv(rv, 1.0 / phi))
 
     @classmethod
-    def through(cls, t_start, t_end, p, v, a, b):
+    def through(cls, t_start, t_end, p, v, a, b, kind="cubic"):
         """The arc with control a*t + b on [t_start, t_end] whose position
         and speed at t_start are p and v."""
         c = v - (0.5 * a * t_start + b) * t_start
         d = p - ((a / 6.0 * t_start + 0.5 * b) * t_start + c) * t_start
-        return cls(t_start=t_start, t_end=t_end, a=a, b=b, c=c, d=d)
-
-    def u(self, t):
-        return self.a * t + self.b
-
-    def v(self, t):
-        return (0.5 * self.a * t + self.b) * t + self.c
-
-    def p(self, t):
-        return ((self.a / 6.0 * t + 0.5 * self.b) * t + self.c) * t + self.d
-
-    def energy(self, t1, t2):
-        # integral of 0.5*(a t + b)^2
-        q = _pint((0.5 * self.b**2, self.a * self.b, 0.5 * self.a**2))
-        return _pval(q, t2) - _pval(q, t1)
-
-    def cubic_amp(self):
-        return self.a, self.b, self.c, self.d, (), None
-
-    def v_extrema(self):
-        if self.a == 0.0:
-            return []
-        ts = -self.b / self.a
-        if self.t_start + _EDGE_TOL < ts < self.t_end - _EDGE_TOL:
-            return [(ts, self.v(ts))]
-        return []
-
-
-@dataclass(frozen=True)
-class ExpTrackArc(Arc):
-    """Gap-riding arc: u = a*t + b + A(t) * exp(-t/phi).
-
-    ``amp`` holds the polynomial amplitude A lowest-order first; a constant
-    amplitude is a one-element tuple. Speed and position follow by
-    exact integration:
-        v = 0.5*a*t^2 + b*t + c - Rv(t) exp(-t/phi)
-        p = a/6*t^3 + 0.5*b*t^2 + c*t + d + Rp(t) exp(-t/phi)
-    with Rv, Rp repeated exponential antiderivatives of A.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    amp: tuple
-    phi: float
-    _rv: tuple = field(init=False, repr=False, compare=False)
-    _rp: tuple = field(init=False, repr=False, compare=False)
-    _v_ext: tuple | None = field(init=False, repr=False, compare=False)
-    _u_ext: tuple | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.phi <= 0.0:
-            raise ConfigError("phi must be positive for a tracking arc")
-        al = 1.0 / self.phi
-        rv = _exp_antideriv(self.amp, al) if self.amp else ()
-        rp = _exp_antideriv(rv, al) if rv else ()
-        object.__setattr__(self, "_rv", rv)
-        object.__setattr__(self, "_rp", rp)
-        # stationary points, found on first request (see v_extrema)
-        object.__setattr__(self, "_v_ext", None)
-        object.__setattr__(self, "_u_ext", None)
+        return cls(t_start, t_end, a, b, c, d, (), None, kind)
 
     def _exp(self, t):
         return np.exp(-t / self.phi) if isinstance(t, np.ndarray) else math.exp(-t / self.phi)
@@ -199,22 +154,22 @@ class ExpTrackArc(Arc):
 
     def v(self, t):
         out = (0.5 * self.a * t + self.b) * t + self.c
-        if self._rv:
+        if self.amp:
             out = out - _pval(self._rv, t) * self._exp(t)
         return out
 
     def p(self, t):
         out = ((self.a / 6.0 * t + 0.5 * self.b) * t + self.c) * t + self.d
-        if self._rp:
+        if self.amp:
             out = out + _pval(self._rp, t) * self._exp(t)
         return out
 
     def energy(self, t1, t2):
-        al = 1.0 / self.phi
-        poly = (0.5 * self.b**2, self.a * self.b, 0.5 * self.a**2)
-        q = _pint(poly)
+        """Integral of 0.5*u^2 over [t1, t2], in closed form."""
+        q = _pint((0.5 * self.b**2, self.a * self.b, 0.5 * self.a**2))
         total = _pval(q, t2) - _pval(q, t1)
         if self.amp:
+            al = 1.0 / self.phi
             cross = _pmul((self.b, self.a), self.amp)  # (a t + b) * A(t)
             r2 = _exp_antideriv(cross, al)
             total += (-_pval(r2, t2) * self._exp(t2)) - (-_pval(r2, t1) * self._exp(t1))
@@ -224,28 +179,36 @@ class ExpTrackArc(Arc):
             total += (-_pval(r3, t2) * e2(t2)) - (-_pval(r3, t1) * e2(t1))
         return total
 
-    def cubic_amp(self):
-        return self.a, self.b, self.c, self.d, self.amp, self.phi
-
     def _interior_roots(self, fn):
         grid = np.linspace(self.t_start, self.t_end, 256)
         ts = bracket_roots(fn, grid, fn(grid))
         return [t for t in ts if self.t_start + _EDGE_TOL < t < self.t_end - _EDGE_TOL]
 
     def v_extrema(self):
-        """Interior stationary points of v, scanned for once per arc.
+        """Interior stationary points of v as (t, v) pairs.
 
-        The plan, the audit and the fleet check all ask for the extrema of
-        the same final arcs; the scan runs on the first request and later
+        In closed form for a polynomial arc. A tracking arc is scanned once:
+        the plan, the audit and the fleet check all ask for the extrema of
+        the same final arcs, so the scan runs on the first request and later
         calls get a fresh copy of the stored list.
         """
-        if self._v_ext is None:
-            object.__setattr__(self, "_v_ext", tuple(
-                (t, self.v(t)) for t in self._interior_roots(self.u)))
-        return list(self._v_ext)
+        if self.kind == "track":
+            if self._v_ext is None:
+                object.__setattr__(self, "_v_ext", tuple(
+                    (t, self.v(t)) for t in self._interior_roots(self.u)))
+            return list(self._v_ext)
+        if self.a == 0.0:
+            return []
+        ts = -self.b / self.a
+        if self.t_start + _EDGE_TOL < ts < self.t_end - _EDGE_TOL:
+            return [(ts, self.v(ts))]
+        return []
 
     def u_extrema(self):
-        """Interior stationary points of u, scanned for once per arc."""
+        """Interior stationary points of u as (t, u) pairs: none on a
+        polynomial arc, scanned for once on a tracking arc."""
+        if self.kind != "track":
+            return []
         if self._u_ext is None:
             dpoly = (self.a,)
             damp = tuple(x - y for x, y in
@@ -258,58 +221,6 @@ class ExpTrackArc(Arc):
             object.__setattr__(self, "_u_ext", tuple(
                 (t, self.u(t)) for t in self._interior_roots(du)))
         return list(self._u_ext)
-
-
-@dataclass(frozen=True)
-class SatArc(Arc):
-    """Control saturated at a constant value."""
-
-    u0: float
-    v_start: float
-    p_start: float
-
-    def u(self, t):
-        return self.u0 + 0.0 * t if isinstance(t, np.ndarray) else self.u0
-
-    def v(self, t):
-        return self.v_start + self.u0 * (t - self.t_start)
-
-    def p(self, t):
-        dt = t - self.t_start
-        return self.p_start + (self.v_start + 0.5 * self.u0 * dt) * dt
-
-    def energy(self, t1, t2):
-        return 0.5 * self.u0**2 * (t2 - t1)
-
-    def cubic_amp(self):
-        a = 0.0
-        b = self.u0
-        c = self.v_start - self.u0 * self.t_start
-        d = self.p_start - self.v_start * self.t_start + 0.5 * self.u0 * self.t_start**2
-        return a, b, c, d, (), None
-
-
-@dataclass(frozen=True)
-class CruiseArc(Arc):
-    """Constant speed, zero control."""
-
-    v0: float
-    p_start: float
-
-    def u(self, t):
-        return 0.0 * t if isinstance(t, np.ndarray) else 0.0
-
-    def v(self, t):
-        return self.v0 + 0.0 * t if isinstance(t, np.ndarray) else self.v0
-
-    def p(self, t):
-        return self.p_start + self.v0 * (t - self.t_start)
-
-    def energy(self, t1, t2):
-        return 0.0
-
-    def cubic_amp(self):
-        return 0.0, 0.0, self.v0, self.p_start - self.v0 * self.t_start, (), None
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +391,8 @@ class PiecewiseTrajectory:
         """
         if until <= self.tf + _EDGE_TOL:
             return self
-        tail = CruiseArc(t_start=self.tf, t_end=until, v0=self.vf,
-                         p_start=self.eval(self.tf)[0])
+        tail = Arc.through(self.tf, until, self.eval(self.tf)[0], self.vf, 0.0, 0.0,
+                           kind="cruise")
         return PiecewiseTrajectory(self.arcs + (tail,))
 
 

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coordinator import Coordinator, GuaranteeReport, check_guarantees
-from .model import (ConfigError, ConflictMap, CruiseArc, CubicArc,
-                    DomainError, ExpTrackArc, PiecewiseTrajectory, SatArc,
-                    ScenarioConfig, VehicleArrival)
+from .model import (Arc, ConfigError, ConflictMap, DomainError,
+                    PiecewiseTrajectory, ScenarioConfig, VehicleArrival)
 from .solver import InfeasibleProblem, SolveReport, SolverError, plan
 from .verifier import AuditReport, OracleResult, audit, transcription_oracle
 
@@ -164,11 +163,15 @@ class SimResult:
 
 def _forced_trajectory(arrival: VehicleArrival) -> PiecewiseTrajectory:
     a, b, c, d = arrival.force_profile
-    arc = CubicArc(t_start=arrival.t0, t_end=arrival.force_tf, a=a, b=b, c=c, d=d)
+    arc = Arc(t_start=arrival.t0, t_end=arrival.force_tf, a=a, b=b, c=c, d=d)
     if abs(arc.v(arrival.t0) - arrival.v0) > 1e-9:
         raise ConfigError(
             f"CAV {arrival.id}: force_profile entry speed "
             f"{arc.v(arrival.t0):.6f} != v0 {arrival.v0}")
+    if abs(arc.p(arrival.t0)) > 1e-9:
+        raise ConfigError(
+            f"CAV {arrival.id}: force_profile entry position "
+            f"{arc.p(arrival.t0):.6f} != 0")
     return PiecewiseTrajectory((arc,))
 
 
@@ -242,10 +245,6 @@ def run_simulation(scenario: Scenario) -> SimResult:
 # writers
 # ---------------------------------------------------------------------------
 
-_ARC_KIND = {CubicArc: "cubic", ExpTrackArc: "track", SatArc: "sat",
-             CruiseArc: "cruise"}
-
-
 def _sample_times(traj: PiecewiseTrajectory, step: float) -> np.ndarray:
     """Times ``step`` apart from t0, less those within 1e-9 of a breakpoint,
     plus the breakpoints."""
@@ -269,7 +268,7 @@ def write_trajectories(result: SimResult, path: str):
             continue
         ts = _sample_times(traj, step)
         p, v, u = traj.sample(ts)
-        tails = [f"{_ARC_KIND[type(arc)]},{run.arrival.id}" for arc in traj.arcs]
+        tails = [f"{arc.kind},{run.arrival.id}" for arc in traj.arcs]
         lines.extend(f"{t:.6f},{pi:.6f},{vi:.6f},{ui:.9f},{tails[k]}"
                      for t, pi, vi, ui, k in zip(ts.tolist(), p.tolist(), v.tolist(),
                                                  u.tolist(), traj.arc_indices(ts).tolist()))

@@ -11,8 +11,9 @@ terminal times every arc follows in closed form, so most solves reduce to a
 scalar residual in one time whose roots ``newton.bracket_roots`` brackets on
 a grid, and the pinned cubic, the merging-zone hold and the saturation
 families solve by hand. Only the follower terminal still solves a small
-coupled system by Newton. Every cubic is placed by ``CubicArc.through``. The
-solves:
+coupled system by Newton. Every arc is one ``Arc``, u = a*t + b +
+A(t)*exp(-t/phi), and every polynomial arc is placed by ``Arc.through``.
+The solves:
 
 * ``solve_p0_free``       -- free terminal time, no active constraints.
 * ``solve_p1_fixed``      -- pinned terminal time.
@@ -44,9 +45,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import TerminalWindow, composite_window
-from .model import (ConfigError, CruiseArc, CubicArc, ExpTrackArc,
-                    PiecewiseTrajectory, SatArc, ScenarioConfig,
-                    VehicleArrival, _exp_antideriv, _pint, _pval)
+from .model import (Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig,
+                    VehicleArrival, _pint, _pval)
 from .newton import bracket_roots, solve_system
 
 
@@ -107,7 +107,7 @@ def solve_p0_free(t0, v0, cfg: ScenarioConfig, report: SolveReport | None = None
     if v0 <= 0:
         raise ConfigError("entry speed must be positive for a free-time solve")
     if cfg.gamma == 0.0:
-        arc = CubicArc.through(t0, t0 + D / v0, 0.0, v0, 0.0, 0.0)
+        arc = Arc.through(t0, t0 + D / v0, 0.0, v0, 0.0, 0.0)
         if report is not None:
             report.log("free_terminal", residual=0.0, iters=0)
         return arc, PiecewiseTrajectory((arc,))
@@ -123,7 +123,7 @@ def solve_p0_free(t0, v0, cfg: ScenarioConfig, report: SolveReport | None = None
     T = roots[0]
     a = _pinned_slope(v0, T, D)
     tf = t0 + T
-    arc = CubicArc.through(t0, tf, 0.0, v0, a, -a * tf)
+    arc = Arc.through(t0, tf, 0.0, v0, a, -a * tf)
     # sanity: accelerate-toward-exit shape (nonincreasing, nonnegative control)
     if a > 1e-10 or arc.u(t0) < -1e-8:
         raise StructureError("free-terminal solve lost its accelerate/relax shape")
@@ -143,7 +143,7 @@ def solve_p1_fixed(t0, v0, tf, cfg: ScenarioConfig, report: SolveReport | None =
         raise ConfigError("terminal time must exceed the entry time")
     D = cfg.exit_distance
     a = _pinned_slope(v0, tf - t0, D)
-    arc = CubicArc.through(t0, tf, 0.0, v0, a, -a * tf)
+    arc = Arc.through(t0, tf, 0.0, v0, a, -a * tf)
     if report is not None:
         report.log("fixed_terminal", residual=abs(arc.p(tf) - D), iters=0, tf=tf)
     return arc, PiecewiseTrajectory((arc,))
@@ -167,7 +167,7 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
         a, b, eta, z = x
         tf = t_kf + math.exp(z)
         # a span that does not move with the iterate tf
-        cubic = CubicArc.through(t0, t0, 0.0, v0, a, b)
+        cubic = Arc.through(t0, t0, 0.0, v0, a, b)
         uf = cubic.u(tf)
         vf = cubic.v(tf)
         return np.array([
@@ -205,7 +205,7 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
             f"follower-terminal solve failed (residual {res.residual_norm:.3e})")
     a, b, eta, z = (float(x) for x in res.x)
     tf = t_kf + math.exp(z)
-    arc = CubicArc.through(t0, tf, 0.0, v0, a, b)
+    arc = Arc.through(t0, tf, 0.0, v0, a, b)
     if report is not None:
         report.log("follower_terminal", residual=res.residual_norm, iters=res.iterations, tf=tf)
     return arc, PiecewiseTrajectory((arc,)), eta
@@ -272,7 +272,7 @@ def _entry_block(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
         if tau1 <= t0 + 1e-6:
             continue
         a, b, _ = _entry_coeffs(t0, v0, phi, d0, leader, tau1)
-        entry = CubicArc.through(t0, float(tau1), 0.0, v0, a, b)
+        entry = Arc.through(t0, float(tau1), 0.0, v0, a, b)
         if _gap_closed(entry, leader, cfg):
             return entry
     raise StructureError("every osculating junction leaves the approach infeasible")
@@ -299,14 +299,13 @@ def _ride_pieces(leader: PiecewiseTrajectory, tau1, u_entry, cfg: ScenarioConfig
     leader = leader.extended(horizon)
     while t_cur < horizon - 1e-12:
         arc = leader.arc_at(min(t_cur + 1e-12, leader.tf))
-        A, B, C, D, ampL, phiL = arc.cubic_amp()
-        if ampL and abs(phiL - phi) > 1e-12:
+        if arc.amp and abs(arc.phi - phi) > 1e-12:
             raise StructureError("leader tracking arc uses a different headway constant")
-        a = A
-        b = B - phi * A
-        c = C - phi * b
-        d = D - phi * c - d0
-        forced = _lift_amp(ampL, phi)
+        a = arc.a
+        b = arc.b - phi * a
+        c = arc.c - phi * b
+        d = arc.d - phi * c - d0
+        forced = _lift_amp(arc.amp, phi)
         t_end = min(arc.t_end, horizon)
         if t_end <= t_cur + 1e-12:
             t_cur = arc.t_end + 1e-12
@@ -315,8 +314,8 @@ def _ride_pieces(leader: PiecewiseTrajectory, tau1, u_entry, cfg: ScenarioConfig
                                   * math.exp(-t_cur / phi) if forced else 0.0)
         k = (u_cur - poly_u) * math.exp(t_cur / phi)
         amp = (forced[0] + k,) + forced[1:] if forced else (k,)
-        piece = ExpTrackArc(t_start=t_cur, t_end=t_end, a=a, b=b, c=c, d=d,
-                            amp=amp, phi=phi)
+        piece = Arc(t_start=t_cur, t_end=t_end, a=a, b=b, c=c, d=d,
+                    amp=amp, phi=phi, kind="track")
         pieces.append(piece)
         u_cur = float(piece.u(t_end))
         t_cur = t_end
@@ -353,7 +352,7 @@ class SafetySolution:
     tau1: float
     tau2: float | None          # None when the boundary is ridden to the exit
     tf: float
-    entry: CubicArc             # incoming cubic on [t0, tau1]
+    entry: Arc                  # incoming cubic on [t0, tau1]
     eta: float | None = None
 
 
@@ -500,7 +499,7 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
     for tau2 in bracket_roots(lambda t: tail(t)[2], np.linspace(tau1 + 1e-6, hi, 300)):
         tf, e, _ = tail(tau2)
         p_r, v_r, u_r = _ride_eval(pieces, tau2)
-        arc = CubicArc.through(tau2, tf, p_r, v_r, e, u_r - e * tau2)
+        arc = Arc.through(tau2, tf, p_r, v_r, e, u_r - e * tau2)
         if _gap_closed(arc, leader, cfg):
             return arc, (arc.u(tf) / phi if mode == "follower" else None)
     return None
@@ -556,8 +555,8 @@ def solve_lateral(t0, v0, tm, cfg: ScenarioConfig, *, terminal="free",
     e = tail_slope(s)
     u_m = -e * s
     a = 3.0 * (v0 * tau + 0.5 * u_m * tau * tau - L) / tau**3
-    first = CubicArc.through(t0, tm, 0.0, v0, a, u_m - a * tm)
-    second = CubicArc.through(tm, tf, L, K - 0.25 * e * s * tau, e, -e * tf)
+    first = Arc.through(t0, tm, 0.0, v0, a, u_m - a * tm)
+    second = Arc.through(tm, tf, L, K - 0.25 * e * s * tau, e, -e * tf)
     traj = PiecewiseTrajectory((first, second))
     if report is not None:
         report.log("position_cap", residual=abs(second.p(tf) - D), tm=tm, tf=tf)
@@ -677,19 +676,19 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
     arcs = []
     t1, v1, p1 = t0, v0, 0.0
     if tau1 > t0 + 1e-12:
-        arcs.append(SatArc(t_start=t0, t_end=tau1, u0=u, v_start=v0, p_start=0.0))
+        arcs.append(Arc.through(t0, tau1, 0.0, v0, 0.0, u, kind="sat"))
         r = tau1 - t0
         t1, v1, p1 = tau1, v0 + u * r, (v0 + 0.5 * u * r) * r
     t2, v2, p2 = t1, v1, p1
     if tau2 > t1 + 1e-12:
-        arcs.append(CubicArc.through(t1, tau2, p1, v1, a, b))
+        arcs.append(Arc.through(t1, tau2, p1, v1, a, b))
         t2, v2, p2 = tau2, arcs[-1].v(tau2), arcs[-1].p(tau2)
     if tf is None:
         tf = t2 + (D - p2) / v_sat
         if tf < t2 - 1e-9:
             raise StructureError("cap cruise overshoots the exit")
     if tf > t2 + 1e-12:
-        arcs.append(CruiseArc(t_start=t2, t_end=tf, v0=v2, p_start=p2))
+        arcs.append(Arc.through(t2, tf, p2, v2, 0.0, 0.0, kind="cruise"))
     traj = PiecewiseTrajectory(tuple(arcs))
     info = {"family": family, "direction": direction, "tau1": tau1, "tau2": tau2,
             "tf": tf, "a": a, "b": b}
@@ -725,7 +724,7 @@ def _arc_track(traj: PiecewiseTrajectory, quantity):
 def _gap_rate_roots(arc, lead_arc, phi, lo, hi):
     """Interior roots on (lo, hi) of gap' = v + phi*u - v_k for one arc pair.
 
-    In ``cubic_amp`` coefficients gap' is a quadratic q(t) plus, for each
+    In the arcs' coefficients gap' is a quadratic q(t) plus, for each
     gap-ride arc of the pair with time constant phi_i, E(t)*exp(-t/phi_i):
     E = phi*A - Rv for the follower and +Rv for the leader, Rv being the
     exponential amplitude of the arc's speed. Terms of one time constant are
@@ -735,16 +734,14 @@ def _gap_rate_roots(arc, lead_arc, phi, lo, hi):
     terms the roots are closed form; otherwise they are bracketed on 256
     points from one vectorised evaluation.
     """
-    a, b, c, _, amp, phi_f = arc.cubic_amp()
-    ak, bk, ck, _, amp_k, phi_k = lead_arc.cubic_amp()
-    q = (c + phi * b - ck, b + phi * a - bk, 0.5 * (a - ak))
+    q = (arc.c + phi * arc.b - lead_arc.c, arc.b + phi * arc.a - lead_arc.b,
+         0.5 * (arc.a - lead_arc.a))
     exps = {}
-    if amp:
-        rv = _exp_antideriv(amp, 1.0 / phi_f)
-        exps[phi_f] = tuple(phi * x - y for x, y in zip(amp, rv))
-    if amp_k:
-        exps[phi_k] = np.polynomial.polynomial.polyadd(
-            exps.get(phi_k, (0.0,)), _exp_antideriv(amp_k, 1.0 / phi_k))
+    if arc.amp:
+        exps[arc.phi] = tuple(phi * x - y for x, y in zip(arc.amp, arc._rv))
+    if lead_arc.amp:
+        exps[lead_arc.phi] = np.polynomial.polynomial.polyadd(
+            exps.get(lead_arc.phi, (0.0,)), lead_arc._rv)
     if not exps:
         roots = sorted(_quadratic_roots(*q))
     else:

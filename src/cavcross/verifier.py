@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (CruiseArc, CubicArc, ExpTrackArc, PiecewiseTrajectory,
-                    ScenarioConfig)
+from .model import PiecewiseTrajectory, ScenarioConfig
 
 BOUND_TOL = 1e-9
 GAP_TOL = 1e-6
@@ -130,12 +129,12 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
     if lateral_tm is not None and lateral_tm < traj.tf:
         h_gate = max(h_gate, lateral_tm)
     for arc in traj.arcs:
-        if isinstance(arc, ExpTrackArc):
+        if arc.kind == "track":
             h_gate = max(h_gate, arc.t_end)
     worst_flat, t_flat = 0.0, traj.t0
     h_free, t_free = 0.0, traj.tf
     for arc in traj.arcs:
-        if not isinstance(arc, CubicArc):
+        if arc.kind != "cubic":
             continue
         tt = np.linspace(arc.t_start, arc.t_end, 50)
         uu = arc.u(tt)
@@ -157,12 +156,13 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
         rep.add("free-time off lower speed cap", cfg.v_min + BOUND_TOL - float(np.min(v)),
                 ts[int(np.argmin(v))], 0.0)
 
-    if terminal_mode == "free" and len(traj.arcs) == 1 and isinstance(traj.arcs[0], CubicArc):
+    single_cubic = len(traj.arcs) == 1 and traj.arcs[0].kind == "cubic"
+    if terminal_mode == "free" and single_cubic:
         arc = traj.arcs[0]
         rep.add("accel-relax slope sign", arc.a, traj.t0, 1e-12)
         rep.add("accel-relax control sign", -float(np.min(u)), ts[int(np.argmin(u))], BOUND_TOL)
         rep.add("accel-relax terminal control", abs(float(u[-1])), traj.tf, CONT_TOL)
-    if terminal_mode == "fixed" and len(traj.arcs) == 1 and isinstance(traj.arcs[0], CubicArc):
+    if terminal_mode == "fixed" and single_cubic:
         rep.add("single-signed control", -float(np.min(u)) * float(np.max(u)),
                 traj.t0, 1e-10)
     return rep
@@ -178,7 +178,7 @@ GAP_REL_TOL = 1e-10     # complementarity gap over the cost at convergence
 RES_TOL = 1e-9          # primal and dual residuals at convergence
 START_MU = 1.0          # complementarity product of the starting point
 FEASIBLE_TOL = 1e-4     # worst rolled-out violation of a feasible answer (m, m/s)
-INFEASIBLE_PRICE = 1e3  # added to the cost of an infeasible horizon in the free search
+INFEASIBLE_PRICE = 1e3  # times (1 + max_violation), added to an infeasible horizon's cost
 
 
 @dataclass
@@ -202,23 +202,6 @@ def _rollout(u, t0, v0, dt):
     incr = v[:-1] * dt + 0.5 * u * dt * dt
     np.cumsum(incr, out=p[1:])
     return p, v
-
-
-def oracle_eval_control(traj: PiecewiseTrajectory, cfg: ScenarioConfig, dt=0.01):
-    """Oracle-side cost of the analytic control, no optimization.
-
-    Samples the control at step midpoints, rolls the discrete dynamics, and
-    integrates the running cost on the same grid; agreement with the
-    closed-form cost is second-order in the step.
-    """
-    t0, tf = traj.t0, traj.tf
-    n = max(int(round((tf - t0) / dt)), 1)
-    h = (tf - t0) / n
-    mids = t0 + (np.arange(n) + 0.5) * h
-    u = traj.sample(mids)[2]
-    p, v = _rollout(u, t0, traj.eval(t0)[1], h)
-    cost = cfg.gamma * (tf - t0) + float(np.sum(0.5 * u * u) * h)
-    return cost, p, v
 
 
 def _inv3(M):
@@ -568,8 +551,10 @@ def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
     t0)/dt), 8) steps exactly (``_transcription_qp``); with ``tf=None``,
     scans 7 candidate horizons from t0 + D/max(v_max, v0) bracketing the
     best one and refines by 10 golden-section steps on the outer cost: the
-    cost, plus INFEASIBLE_PRICE if infeasible. A candidate is solved only if
-    its cost can change a decision, by two exact rules:
+    cost, plus INFEASIBLE_PRICE*(1 + max_violation) if infeasible, so with
+    no feasible horizon the search heads for the least infeasible one. A
+    candidate is solved only if its cost can change a decision, by two
+    exact rules:
 
     * the outer cost is at least the travel-time term gamma*n*h, so a scan
       point whose term reaches the least cost before it cannot be the first
@@ -630,7 +615,8 @@ def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
         key = round(tf_val, 6)
         if key not in cache:
             res = solve_fixed(tf_val)
-            cache[key] = res.cost if res.feasible else res.cost + INFEASIBLE_PRICE
+            cache[key] = (res.cost if res.feasible else
+                          res.cost + INFEASIBLE_PRICE * (1.0 + res.max_violation))
         return cache[key]
 
     def cost_floor(tf_val):

@@ -22,7 +22,7 @@ def check_guarantees_all_pairs(coord: Coordinator, step: float = 1e-3) -> Guaran
     """
     cfg = coord.cfg
     report = GuaranteeReport(ok=True)
-    solved = coord.solved()
+    solved = solved_entries(coord)
     for idx, entry in enumerate(solved):
         qv = coord.view(entry)
         traj = entry.trajectory
@@ -58,6 +58,11 @@ def check_guarantees_all_pairs(coord: Coordinator, step: float = 1e-3) -> Guaran
                     report.add("lateral", entry.arrival.id, other.arrival.id,
                                t_m, jt.tf - t_m)
     return report
+
+
+def solved_entries(coord: Coordinator):
+    """The queue entries that have a trajectory attached, in queue order."""
+    return [e for e in coord.entries if e.trajectory is not None]
 
 
 def coordinator_of(result) -> Coordinator:

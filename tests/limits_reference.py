@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from cavcross.model import (ConfigError, CruiseArc, CubicArc, PiecewiseTrajectory,
-                            SatArc, ScenarioConfig)
+from cavcross.model import Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig
 from cavcross.newton import bracket_roots, solve_system
 from cavcross.solver import SolveReport, StructureError
 from lu_reference import _cub_p, _cub_u, _cub_v, _init_cd
@@ -41,7 +40,7 @@ def solve_limits_newton(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixe
     def build(tau1, tau2, a, b, tf):
         arcs = []
         if tau1 > t0 + 1e-12:
-            arcs.append(SatArc(t_start=t0, t_end=tau1, u0=u_sat, v_start=v0, p_start=0.0))
+            arcs.append(Arc.through(t0, tau1, 0.0, v0, 0.0, u_sat, kind="sat"))
             v1 = v0 + u_sat * (tau1 - t0)
             p1 = v0 * (tau1 - t0) + 0.5 * u_sat * (tau1 - t0) ** 2
         else:
@@ -49,13 +48,13 @@ def solve_limits_newton(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixe
         c = v1 - (0.5 * a * tau1 + b) * tau1
         d = p1 - ((a / 6.0 * tau1 + 0.5 * b) * tau1 + c) * tau1
         if tau2 > tau1 + 1e-12:
-            arcs.append(CubicArc(t_start=tau1, t_end=tau2, a=a, b=b, c=c, d=d))
+            arcs.append(Arc(t_start=tau1, t_end=tau2, a=a, b=b, c=c, d=d))
             p2 = _cub_p(a, b, c, d, tau2)
             v2 = _cub_v(a, b, c, tau2)
         else:
             tau2, p2, v2 = tau1, p1, v1
         if tf > tau2 + 1e-12:
-            arcs.append(CruiseArc(t_start=tau2, t_end=tf, v0=v2, p_start=p2))
+            arcs.append(Arc.through(tau2, tf, p2, v2, 0.0, 0.0, kind="cruise"))
         return PiecewiseTrajectory(tuple(arcs)), c, d
 
     info = {"family": None, "direction": direction}
@@ -221,10 +220,10 @@ def solve_limits_newton(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixe
             tau2 = t0 + (tf_fixed - t0) / (1.0 + math.exp(-z1))
             tf = tf_fixed
         c, d = _init_cd(t0, v0, a, b)
-        arcs = [CubicArc(t_start=t0, t_end=tau2, a=a, b=b, c=c, d=d)]
+        arcs = [Arc(t_start=t0, t_end=tau2, a=a, b=b, c=c, d=d)]
         if tf > tau2 + 1e-12:
-            arcs.append(CruiseArc(t_start=tau2, t_end=tf, v0=_cub_v(a, b, c, tau2),
-                                  p_start=_cub_p(a, b, c, d, tau2)))
+            arcs.append(Arc.through(tau2, tf, _cub_p(a, b, c, d, tau2),
+                                    _cub_v(a, b, c, tau2), 0.0, 0.0, kind="cruise"))
         traj = PiecewiseTrajectory(tuple(arcs))
         info.update(tau1=t0, tau2=tau2, tf=tf, a=a, b=b)
         residual, iters = res.residual_norm, res.iterations

@@ -8,7 +8,7 @@ dwell ladder with one 8x8 solve per evaluation. The replay test requires the
 closed forms to give the same coefficients, exit times and exceptions.
 
 The absolute-time cubic helpers below are the ones the solver used before
-``CubicArc.through`` placed every cubic; ``limits_reference`` shares them.
+``Arc.through`` placed every cubic; ``limits_reference`` shares them.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cavcross.model import ConfigError, CubicArc, PiecewiseTrajectory, ScenarioConfig
+from cavcross.model import Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig
 from cavcross.newton import bracket_roots
 from cavcross.solver import SolveReport, SolverError, StructureError
 
@@ -50,7 +50,7 @@ class UnconstrainedParams:
 
 
 def _single_cubic_traj(t0, tf, a, b, c, d):
-    return PiecewiseTrajectory((CubicArc(t_start=t0, t_end=tf, a=a, b=b, c=c, d=d),))
+    return PiecewiseTrajectory((Arc(t_start=t0, t_end=tf, a=a, b=b, c=c, d=d),))
 
 
 def solve_p1_fixed_lu(t0, v0, tf, cfg: ScenarioConfig, report: SolveReport | None = None):
@@ -154,8 +154,8 @@ def solve_lateral_lu(t0, v0, tm, cfg: ScenarioConfig, *, terminal="free",
         raise SolverError(f"position-cap linear solve residual {resid:.3e} too large")
     a, b, c, d, e, r, q, m = (float(z) for z in x)
     zeta = a - e
-    first = CubicArc(t_start=t0, t_end=tm, a=a, b=b, c=c, d=d)
-    second = CubicArc(t_start=tm, t_end=tf, a=e, b=r, c=q, d=m)
+    first = Arc(t_start=t0, t_end=tm, a=a, b=b, c=c, d=d)
+    second = Arc(t_start=tm, t_end=tf, a=e, b=r, c=q, d=m)
     traj = PiecewiseTrajectory((first, second))
     if report is not None:
         report.log("position_cap", residual=resid / scale, tm=tm, tf=tf)

@@ -30,7 +30,7 @@ def free_horizon_oracle(t0, v0, cfg, *, dt=0.01, leader=None, lateral_tm=None,
         key = round(tf_val, 6)
         if key not in cache:
             res = solve_fixed(tf_val)
-            cache[key] = res.cost if res.feasible else res.cost + 1e3
+            cache[key] = res.cost if res.feasible else res.cost + 1e3 * (1.0 + res.max_violation)
         return cache[key]
 
     t_scan0 = t0 + cfg.exit_distance / max(cfg.v_max, v0)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from cavcross.newton import solve_system
-from cavcross.model import CubicArc
+from cavcross.model import Arc
 from cavcross.solver import StructureError, _entry_coeffs, _ride_eval, _ride_pieces
 
 
@@ -45,7 +45,7 @@ def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
             return np.array([1e6, 1e6])
         p_r, v_r, u_r = _ride_eval(pieces, tau2)
         e = u_r / (tau2 - tf_fixed)
-        tail = CubicArc.through(tau2, tf_fixed, p_r, v_r, e, -e * tf_fixed)
+        tail = Arc.through(tau2, tf_fixed, p_r, v_r, e, -e * tf_fixed)
         return np.array([g, tail.p(tf_fixed) - D])
 
     starts = []

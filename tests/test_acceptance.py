@@ -8,12 +8,13 @@ import time
 
 import numpy as np
 
-from cavcross.model import CubicArc, PiecewiseTrajectory, ScenarioConfig
+from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
 from cavcross.sim import load_scenario, run_simulation
 from cavcross.solver import (solve_lateral, solve_limits, solve_p0_free,
                              solve_p1_fixed, solve_safety)
-from cavcross.verifier import audit, oracle_eval_control, transcription_oracle
+from cavcross.verifier import audit, transcription_oracle
 from guarantee_reference import check_guarantees_all_pairs, coordinator_of
+from oracle_eval import oracle_eval_control
 from safety_reference import solve_safety_joint
 
 CFG = ScenarioConfig(v_max=20.0)
@@ -79,8 +80,8 @@ def test_c3_rear_end_ride_through_merge():
 
 
 def test_c4_ride_with_exit_and_independence():
-    lead = PiecewiseTrajectory((CubicArc(0.0, 41.0, 0.0017411238954745383,
-                                         -0.03569303985722797, 10.0, 0.0),))
+    lead = PiecewiseTrajectory((Arc(0.0, 41.0, 0.0017411238954745383,
+                                    -0.03569303985722797, 10.0, 0.0),))
     traj, sol = solve_safety(1.5, 12.0, lead, CFG, terminal="fixed", tf_fixed=42.5)
     assert sol.tau1 < sol.tau2
     rep = audit(traj, CFG, leader=lead, terminal_mode="fixed")

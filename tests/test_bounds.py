@@ -5,7 +5,7 @@ import pytest
 
 from cavcross.bounds import (composite_window, lower_speed_control,
                              upper_speed_control)
-from cavcross.model import (ConfigError, CubicArc, PiecewiseTrajectory,
+from cavcross.model import (Arc, ConfigError, PiecewiseTrajectory,
                             ScenarioConfig)
 
 
@@ -83,15 +83,15 @@ def test_bad_limit_signs_raise():
 
 def _cruise_leader(tf, v):
     D = 400.0
-    return PiecewiseTrajectory((CubicArc(t_start=tf - D / v, t_end=tf, a=0.0,
-                                         b=0.0, c=v, d=D - v * tf),))
+    return PiecewiseTrajectory((Arc(t_start=tf - D / v, t_end=tf, a=0.0,
+                                    b=0.0, c=v, d=D - v * tf),))
 
 
 def test_composite_window_binding_labels():
     cfg = ScenarioConfig(v_max=20.0, phi=1.0, delta0=0.0)
     w = composite_window(0.0, 10.0, cfg)
     assert w.binding == "speed_control"
-    assert w.t_lower == w.t_speed_control
+    assert w.t_lower == lower_speed_control(0.0, 10.0, cfg)[0]
     assert w.t_upper is None
 
     lead = _cruise_leader(39.0, 10.0)
@@ -113,8 +113,8 @@ def test_composite_window_headway_scales_with_gap_parameters():
 
 def test_composite_window_rejects_stopped_leader():
     cfg = ScenarioConfig(v_max=20.0)
-    lead = PiecewiseTrajectory((CubicArc(t_start=0.0, t_end=40.0, a=0.0,
-                                         b=-0.25, c=10.0, d=0.0),))
+    lead = PiecewiseTrajectory((Arc(t_start=0.0, t_end=40.0, a=0.0,
+                                    b=-0.25, c=10.0, d=0.0),))
     assert lead.vf == pytest.approx(0.0)
     with pytest.raises(ConfigError):
         composite_window(2.0, 12.0, cfg, leader=lead)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cavcross.coordinator import TIE_EPS, Coordinator, check_guarantees
-from cavcross.model import (ConfigError, CubicArc, PiecewiseTrajectory,
+from cavcross.model import (Arc, ConfigError, PiecewiseTrajectory,
                             ScenarioConfig, VehicleArrival)
 from cavcross.solver import plan, solve_p1_fixed
 from guarantee_reference import check_guarantees_all_pairs
@@ -16,8 +16,8 @@ def _arr(i, t0, road="N", lane=0, v0=10.0):
 
 def _cruise(t0, tf):
     v = 400.0 / (tf - t0)
-    return PiecewiseTrajectory((CubicArc(t_start=t0, t_end=tf, a=0.0, b=0.0,
-                                         c=v, d=-v * t0),))
+    return PiecewiseTrajectory((Arc(t_start=t0, t_end=tf, a=0.0, b=0.0,
+                                    c=v, d=-v * t0),))
 
 
 def _cubic(t0, v0, tf, vf):
@@ -26,7 +26,7 @@ def _cubic(t0, v0, tf, vf):
     rates = [[t ** 2 / 2.0, t, 1.0, 0.0] for t in (t0, tf)]
     a, b, c, d = np.linalg.solve(np.array([rows[0], rates[0], rows[1], rates[1]]),
                                  [0.0, v0, 400.0, vf])
-    return PiecewiseTrajectory((CubicArc(t_start=t0, t_end=tf, a=a, b=b, c=c, d=d),))
+    return PiecewiseTrajectory((Arc(t_start=t0, t_end=tf, a=a, b=b, c=c, d=d),))
 
 
 def _lane_queue(specs):

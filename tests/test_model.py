@@ -5,13 +5,12 @@ import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
 
-from cavcross.model import (ConfigError, ConflictMap, CruiseArc, CubicArc,
-                            DomainError, ExpTrackArc, PiecewiseTrajectory,
-                            SatArc, ScenarioConfig, VehicleArrival)
+from cavcross.model import (Arc, ConfigError, ConflictMap, DomainError,
+                            PiecewiseTrajectory, ScenarioConfig, VehicleArrival)
 
 
 def test_cubic_arc_matches_quadrature():
-    arc = CubicArc(t_start=0.0, t_end=10.0, a=-0.02, b=0.3, c=10.0, d=5.0)
+    arc = Arc(t_start=0.0, t_end=10.0, a=-0.02, b=0.3, c=10.0, d=5.0)
     for t in (0.0, 3.7, 10.0):
         v_ref = arc.v(0.0) + quad(arc.u, 0.0, t)[0]
         p_ref = arc.p(0.0) + quad(arc.v, 0.0, t)[0]
@@ -20,25 +19,25 @@ def test_cubic_arc_matches_quadrature():
 
 
 def test_cubic_energy_matches_quadrature():
-    arc = CubicArc(t_start=2.0, t_end=9.0, a=-0.02, b=0.3, c=10.0, d=0.0)
+    arc = Arc(t_start=2.0, t_end=9.0, a=-0.02, b=0.3, c=10.0, d=0.0)
     ref = quad(lambda t: 0.5 * arc.u(t) ** 2, 2.0, 9.0)[0]
     assert math.isclose(arc.energy(2.0, 9.0), ref, rel_tol=1e-12)
 
 
 def test_cubic_speed_extremum_at_control_zero():
     # u = -0.02 t + 0.64 crosses zero at t = 32: interior maximum of v
-    arc = CubicArc(t_start=0.0, t_end=40.0, a=-0.02, b=0.64, c=8.0, d=0.0)
+    arc = Arc(t_start=0.0, t_end=40.0, a=-0.02, b=0.64, c=8.0, d=0.0)
     ((t_star, v_star),) = arc.v_extrema()
     assert math.isclose(t_star, 32.0, abs_tol=1e-12)
     assert math.isclose(v_star, arc.v(32.0), abs_tol=1e-12)
     # shifting the zero outside the span hides it
-    assert CubicArc(t_start=0.0, t_end=10.0, a=-0.02, b=0.64, c=8.0, d=0.0).v_extrema() == []
+    assert Arc(t_start=0.0, t_end=10.0, a=-0.02, b=0.64, c=8.0, d=0.0).v_extrema() == []
 
 
 def test_track_arc_matches_quadrature():
     """u = a t + b + (A0 + A1 t) exp(-t/phi) integrates exactly to v and p."""
-    arc = ExpTrackArc(t_start=1.0, t_end=8.0, a=0.01, b=-0.1, c=11.0, d=3.0,
-                      amp=(0.4, -0.05), phi=1.0)
+    arc = Arc(t_start=1.0, t_end=8.0, a=0.01, b=-0.1, c=11.0, d=3.0,
+              amp=(0.4, -0.05), phi=1.0, kind="track")
     for t in (1.0, 4.3, 8.0):
         v_ref = arc.v(1.0) + quad(arc.u, 1.0, t)[0]
         p_ref = arc.p(1.0) + quad(arc.v, 1.0, t)[0]
@@ -49,8 +48,8 @@ def test_track_arc_matches_quadrature():
 
 
 def test_track_arc_vector_eval_matches_scalar():
-    arc = ExpTrackArc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0,
-                      amp=(1.0,), phi=0.8)
+    arc = Arc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0,
+              amp=(1.0,), phi=0.8, kind="track")
     ts = np.linspace(0.0, 5.0, 11)
     npt.assert_allclose(arc.u(ts), [arc.u(float(t)) for t in ts], rtol=1e-14)
     npt.assert_allclose(arc.p(ts), [arc.p(float(t)) for t in ts], rtol=1e-14)
@@ -60,8 +59,8 @@ def test_track_arc_vector_eval_matches_scalar():
 def test_track_arc_extrema_match_dense_sampling(amp):
     # u dips below zero and recovers: two interior speed extrema (where u
     # crosses zero) and one interior control minimum
-    arc = ExpTrackArc(t_start=0.0, t_end=20.0, a=0.02, b=-0.3, c=10.0, d=0.0,
-                      amp=amp, phi=2.0)
+    arc = Arc(t_start=0.0, t_end=20.0, a=0.02, b=-0.3, c=10.0, d=0.0,
+              amp=amp, phi=2.0, kind="track")
     ts = np.linspace(0.0, 20.0, 200001)
     u = arc.u(ts)
     v = arc.v(ts)
@@ -80,44 +79,33 @@ def test_track_arc_extrema_match_dense_sampling(amp):
 
 
 def test_sat_and_cruise_arcs():
-    sat = SatArc(t_start=0.0, t_end=4.0, u0=0.2, v_start=10.0, p_start=0.0)
+    sat = Arc.through(0.0, 4.0, 0.0, 10.0, 0.0, 0.2, kind="sat")
     assert sat.v(4.0) == pytest.approx(10.8)
     assert sat.p(4.0) == pytest.approx(41.6)
     assert sat.energy(0.0, 4.0) == pytest.approx(0.5 * 0.04 * 4.0)
-    cr = CruiseArc(t_start=4.0, t_end=10.0, v0=10.8, p_start=41.6)
+    cr = Arc.through(4.0, 10.0, 41.6, 10.8, 0.0, 0.0, kind="cruise")
     assert cr.p(10.0) == pytest.approx(41.6 + 10.8 * 6.0)
     assert cr.energy(4.0, 10.0) == 0.0
 
 
-def test_cubic_amp_views_agree_with_eval():
-    for arc in (CubicArc(t_start=0.0, t_end=5.0, a=0.1, b=-0.2, c=9.0, d=1.0),
-                SatArc(t_start=1.0, t_end=4.0, u0=0.2, v_start=10.0, p_start=12.0),
-                CruiseArc(t_start=2.0, t_end=6.0, v0=13.0, p_start=20.0)):
-        a, b, c, d, amp, _ = arc.cubic_amp()
-        assert amp == ()
-        t = 0.5 * (arc.t_start + arc.t_end)
-        assert math.isclose(a * t + b, arc.u(t), abs_tol=1e-12)
-        assert math.isclose((0.5 * a * t + b) * t + c, arc.v(t), abs_tol=1e-12)
-
-
 def test_trajectory_rejects_gaps_and_jumps():
-    a1 = CubicArc(t_start=0.0, t_end=5.0, a=0.0, b=0.0, c=10.0, d=0.0)
+    a1 = Arc(t_start=0.0, t_end=5.0, a=0.0, b=0.0, c=10.0, d=0.0)
     with pytest.raises(ConfigError):
-        PiecewiseTrajectory((a1, CubicArc(t_start=6.0, t_end=8.0, a=0.0, b=0.0,
-                                          c=10.0, d=0.0)))
+        PiecewiseTrajectory((a1, Arc(t_start=6.0, t_end=8.0, a=0.0, b=0.0,
+                                     c=10.0, d=0.0)))
     with pytest.raises(ConfigError):  # position jump at the junction
-        PiecewiseTrajectory((a1, CubicArc(t_start=5.0, t_end=8.0, a=0.0, b=0.0,
-                                          c=10.0, d=3.0)))
+        PiecewiseTrajectory((a1, Arc(t_start=5.0, t_end=8.0, a=0.0, b=0.0,
+                                     c=10.0, d=3.0)))
     with pytest.raises(ConfigError):
         PiecewiseTrajectory(())
 
 
 def test_trajectory_eval_sample_and_cost():
-    arc1 = CubicArc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0)
+    arc1 = Arc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0)
     a2, b2 = -0.01, 0.25
     c2 = arc1.v(5.0) - (0.5 * a2 * 25.0 + b2 * 5.0)
     d2 = arc1.p(5.0) - (a2 / 6 * 125.0 + 0.5 * b2 * 25.0 + c2 * 5.0)
-    arc2 = CubicArc(t_start=5.0, t_end=12.0, a=a2, b=b2, c=c2, d=d2)
+    arc2 = Arc(t_start=5.0, t_end=12.0, a=a2, b=b2, c=c2, d=d2)
     traj = PiecewiseTrajectory((arc1, arc2))
     ts = np.linspace(0.0, 12.0, 25)
     p, v, u = traj.sample(ts)
@@ -140,7 +128,7 @@ def test_trajectory_eval_sample_and_cost():
 
 
 def test_position_root_and_extension():
-    arc = CubicArc(t_start=0.0, t_end=10.0, a=0.0, b=0.0, c=10.0, d=0.0)
+    arc = Arc(t_start=0.0, t_end=10.0, a=0.0, b=0.0, c=10.0, d=0.0)
     traj = PiecewiseTrajectory((arc,))
     assert traj.position_root(37.0) == pytest.approx(3.7, abs=1e-9)
     with pytest.raises(DomainError):
@@ -156,8 +144,8 @@ def test_position_root_and_extension():
 
 
 def test_arc_at_is_right_continuous():
-    a1 = CubicArc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0)
-    a2 = SatArc(t_start=5.0, t_end=9.0, u0=0.2, v_start=a1.v(5.0), p_start=a1.p(5.0))
+    a1 = Arc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0)
+    a2 = Arc.through(5.0, 9.0, a1.p(5.0), a1.v(5.0), 0.0, 0.2, kind="sat")
     traj = PiecewiseTrajectory((a1, a2))
     assert traj.arc_at(5.0) is a2
     assert traj.arc_at(5.0 - 1e-9) is a1

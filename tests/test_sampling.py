@@ -9,8 +9,7 @@ import pytest
 
 from cavcross.coordinator import TIE_EPS, GuaranteeReport
 from cavcross.fixtures import FIXTURES, fixture
-from cavcross.model import (CruiseArc, CubicArc, ExpTrackArc, PiecewiseTrajectory,
-                            SatArc, ScenarioConfig, VehicleArrival)
+from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig, VehicleArrival
 from cavcross.newton import bracket_roots
 from cavcross.sim import (CavRun, RunSettings, Scenario, SimResult, load_scenario,
                           run_simulation, write_trajectories)
@@ -67,23 +66,23 @@ def _result_of(trajs, step=0.05):
 
 def _cubic_then(t_split, tail, t_end):
     """A cubic accelerating from 10 m/s, then ``tail`` ('sat', 'cruise', 'zero')."""
-    head = CubicArc(t_start=0.0, t_end=t_split, a=0.0, b=0.2, c=10.0, d=0.0)
+    head = Arc(t_start=0.0, t_end=t_split, a=0.0, b=0.2, c=10.0, d=0.0)
     v, p = head.v(t_split), head.p(t_split)
     if tail == "zero":
-        mid = CruiseArc(t_start=t_split, t_end=t_split, v0=v, p_start=p)
-        end = SatArc(t_start=t_split, t_end=t_end, u0=0.2, v_start=v, p_start=p)
+        mid = Arc.through(t_split, t_split, p, v, 0.0, 0.0, kind="cruise")
+        end = Arc.through(t_split, t_end, p, v, 0.0, 0.2, kind="sat")
         return PiecewiseTrajectory((head, mid, end))
     if tail == "sat":
-        return PiecewiseTrajectory((head, SatArc(t_start=t_split, t_end=t_end, u0=-1e-12,
-                                                 v_start=v, p_start=p)))
-    return PiecewiseTrajectory((head, CruiseArc(t_start=t_split, t_end=t_end, v0=v,
-                                                p_start=p)))
+        return PiecewiseTrajectory((head, Arc.through(t_split, t_end, p, v, 0.0, -1e-12,
+                                                      kind="sat")))
+    return PiecewiseTrajectory((head, Arc.through(t_split, t_end, p, v, 0.0, 0.0,
+                                                  kind="cruise")))
 
 
 def _dipping_track():
     """A gap-ride arc with two interior v extrema and one u minimum."""
-    return ExpTrackArc(t_start=0.0, t_end=20.0, a=0.02, b=-0.3, c=10.0, d=0.0,
-                       amp=(0.5,), phi=2.0)
+    return Arc(t_start=0.0, t_end=20.0, a=0.02, b=-0.3, c=10.0, d=0.0,
+               amp=(0.5,), phi=2.0, kind="track")
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +174,15 @@ def test_dense_times_edge_cases():
         _same_grid(track, 0.3, lo)
         _same_grid(track, 1e-3, lo)
     # a last arc ending 5e-10 s before it starts puts a breakpoint past tf
-    head = CubicArc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0)
-    short = PiecewiseTrajectory((head, CruiseArc(t_start=5.0, t_end=5.0 - 5e-10,
-                                                 v0=head.v(5.0), p_start=head.p(5.0))))
+    head = Arc(t_start=0.0, t_end=5.0, a=0.0, b=0.2, c=10.0, d=0.0)
+    short = PiecewiseTrajectory((head, Arc.through(5.0, 5.0 - 5e-10, head.p(5.0), head.v(5.0),
+                                                   0.0, 0.0, kind="cruise")))
     assert short.breakpoints[-2] > short.tf
     for lo in (None, 0.0, 2.0):
         _same_grid(short, 1e-3, lo)
     # no extras beyond the grid's own ends
-    plain = PiecewiseTrajectory((CubicArc(t_start=1.0, t_end=4.0, a=0.0, b=0.1,
-                                          c=10.0, d=0.0),))
+    plain = PiecewiseTrajectory((Arc(t_start=1.0, t_end=4.0, a=0.0, b=0.1,
+                                     c=10.0, d=0.0),))
     assert _same_grid(plain, 0.5).tolist() == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     # a TIE_EPS tie, a zero-width window at tf and an empty one past it
     for lo in (1.0 + TIE_EPS, 4.0 - TIE_EPS, 4.0, 4.0 + TIE_EPS):
@@ -200,7 +199,7 @@ def test_dense_times_edge_cases():
 def test_gap_ride_extrema_scanned_once_per_arc(monkeypatch):
     scans = {}
     held = []     # keeps every scanned arc alive so its id stays unique
-    original = ExpTrackArc._interior_roots
+    original = Arc._interior_roots
 
     def counted(self, fn):
         held.append(self)
@@ -208,11 +207,11 @@ def test_gap_ride_extrema_scanned_once_per_arc(monkeypatch):
         scans[key] = scans.get(key, 0) + 1
         return original(self, fn)
 
-    monkeypatch.setattr(ExpTrackArc, "_interior_roots", counted)
+    monkeypatch.setattr(Arc, "_interior_roots", counted)
     result = run_simulation(load_scenario(fixture("fig3_safety_ride")))
     assert result.exit_code == 0
     rides = [arc for run in result.runs for arc in run.trajectory.arcs
-             if isinstance(arc, ExpTrackArc)]
+             if arc.kind == "track"]
     assert rides
     for arc in rides:
         # the plan's scan, the audit and the fleet check all asked
@@ -224,7 +223,7 @@ def test_extrema_from_one_vectorised_evaluation_match_the_scalar_scan(results):
     """The 256 grid values come from one array call; the roots must not move."""
     rides = [arc for _, result in results for run in result.runs
              if run.trajectory is not None
-             for arc in run.trajectory.arcs if isinstance(arc, ExpTrackArc)]
+             for arc in run.trajectory.arcs if arc.kind == "track"]
     assert len(rides) > 10
     for arc in rides + [_dipping_track()]:
         grid = np.linspace(arc.t_start, arc.t_end, 256)

@@ -12,7 +12,7 @@ import pytest
 
 import cavcross.solver as solver
 from cavcross.fixtures import FIXTURES, fixture
-from cavcross.model import CruiseArc, CubicArc, PiecewiseTrajectory, ScenarioConfig
+from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
 from cavcross.sim import load_scenario, run_simulation
 from cavcross.solver import (GAP_TOL, scan_violations, solve_limits, solve_p1_fixed,
                              solve_safety)
@@ -60,12 +60,12 @@ def _sub_step_bump():
     the gap is 0.5e-6: above GAP_TOL only for |t - t*| < 3.5e-4.
     """
     cfg = ScenarioConfig(v_max=20.0, phi=1.0, delta0=0.0)
-    arc = CubicArc(t_start=4.9, t_end=5.1, a=0.0, b=-8.0, c=50.0, d=0.0)
+    arc = Arc(t_start=4.9, t_end=5.1, a=0.0, b=-8.0, c=50.0, d=0.0)
     t_star = 5.0005
     v_lead = arc.v(t_star) + cfg.phi * arc.u(t_star)      # gap' = 0 at t*
     p_lead = arc.p(t_star) + cfg.phi * arc.v(t_star) - 1.5e-6
-    leader = PiecewiseTrajectory((CruiseArc(t_start=0.0, t_end=10.0, v0=v_lead,
-                                            p_start=p_lead - v_lead * t_star),))
+    leader = PiecewiseTrajectory((Arc.through(0.0, 10.0, p_lead - v_lead * t_star, v_lead,
+                                              0.0, 0.0, kind="cruise"),))
     return PiecewiseTrajectory((arc,)), leader, cfg, t_star
 
 

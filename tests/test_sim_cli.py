@@ -10,7 +10,7 @@ from cavcross.model import ConfigError, VehicleArrival
 from cavcross.sim import (_forced_trajectory, apply_overrides, load_scenario,
                           run_simulation, write_outputs)
 from cavcross import cli
-from guarantee_reference import check_guarantees_all_pairs, coordinator_of
+from guarantee_reference import check_guarantees_all_pairs, coordinator_of, solved_entries
 from test_acceptance import _random_scenario
 
 
@@ -86,6 +86,18 @@ def test_forced_profile_must_match_entry_speed():
                          force_profile=(0.0, 0.0, 10.0, 0.0))
     with pytest.raises(ConfigError, match="entry speed"):
         _forced_trajectory(arr)
+
+
+def test_forced_profile_must_start_at_the_entry():
+    # fig5_safety_exit's leader, moved 5 m into the zone: same speed, p(0) = 5
+    a = 6.0 * (400.0 - 415.0) / 41.0**3
+    raw = fixture("fig5_safety_exit")
+    raw["arrivals"] = [dict(raw["arrivals"][0], force_profile=[a, 0.0, 10.0, 5.0])]
+    with pytest.raises(ConfigError, match="entry position"):
+        _forced_trajectory(load_scenario(raw).arrivals[0])
+    result = run_simulation(load_scenario(raw))
+    assert result.exit_code == 2
+    assert "entry position 5.000000 != 0" in result.failure
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +176,7 @@ def test_declined_scenario_checks_the_solved_vehicles(tmp_path):
     solved = [r for r in result.runs if r.trajectory is not None]
     assert len(solved) == 6
     coord = coordinator_of(result)
-    assert len(coord.solved()) == 6
+    assert len(solved_entries(coord)) == 6
     ref = check_guarantees_all_pairs(coord)
     assert (result.guarantees.ok, result.guarantees.violations) == (ref.ok, ref.violations)
     assert result.guarantees.ok

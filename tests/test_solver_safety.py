@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavcross.model import (CubicArc, ExpTrackArc, PiecewiseTrajectory,
-                            ScenarioConfig)
+from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
 from cavcross.solver import (SolveReport, StructureError, _entry_coeffs,
                              solve_p1_fixed, solve_safety)
 from cavcross.sim import load_scenario, run_simulation
@@ -22,7 +21,7 @@ def _lead_pinned(tf):
 
 def _lead_dip():
     # decelerate-then-recover profile: v(0)=10, v(41)=10, through the exit at 41
-    return PiecewiseTrajectory((CubicArc(
+    return PiecewiseTrajectory((Arc(
         t_start=0.0, t_end=41.0,
         a=0.0017411238954745383, b=-0.03569303985722797, c=10.0, d=0.0),))
 
@@ -64,9 +63,9 @@ def test_ride_to_exit_reference():
     assert sol.tau2 is None
     assert traj.tf == pytest.approx(39.99998208361794, abs=1e-6)
     assert traj.eval(traj.tf)[0] == pytest.approx(400.0, abs=1e-8)
-    kinds = [type(a).__name__ for a in traj.arcs]
-    assert kinds[0] == "CubicArc"
-    assert all(k == "ExpTrackArc" for k in kinds[1:])
+    kinds = [a.kind for a in traj.arcs]
+    assert kinds[0] == "cubic"
+    assert all(k == "track" for k in kinds[1:])
 
 
 def test_ride_gap_is_exactly_on_the_boundary():
@@ -124,9 +123,9 @@ def test_ride_leave_ride_exit_reference():
     assert sol.tau2 == pytest.approx(13.893301048622487, abs=1e-6)
     assert sol.tau1 < sol.tau2 < traj.tf
     assert traj.eval(42.5)[0] == pytest.approx(400.0, abs=1e-8)
-    assert isinstance(traj.arcs[0], CubicArc)
-    assert isinstance(traj.arcs[-1], CubicArc)
-    assert any(isinstance(a, ExpTrackArc) for a in traj.arcs)
+    assert traj.arcs[0].kind == "cubic"
+    assert traj.arcs[-1].kind == "cubic"
+    assert any(a.kind == "track" for a in traj.arcs)
     for left, right in zip(traj.arcs[:-1], traj.arcs[1:]):
         tb = left.t_end
         assert abs(float(left.u(tb)) - float(right.u(tb))) < 1e-8
@@ -162,7 +161,7 @@ def test_free_terminal_safety_checks_hamiltonian():
     lead = _lead_dip()
     traj, sol = solve_safety(1.5, 12.0, lead, CFG, terminal="free")
     tail = traj.arcs[-1]
-    assert isinstance(tail, CubicArc)
+    assert tail.kind == "cubic"
     uf = float(tail.u(traj.tf))
     vf = float(tail.v(traj.tf))
     H_tf = CFG.gamma - 0.5 * uf * uf + tail.a * vf
@@ -178,8 +177,8 @@ def test_follower_terminal_departs_onto_the_headway_bound():
     than riding the boundary through the exit (J = 4.537620)."""
     a = 0.003
     b = (400.0 - 410.0 - a / 6.0 * 41.0 ** 3) / (0.5 * 41.0 ** 2)
-    lead = PiecewiseTrajectory((CubicArc(t_start=0.0, t_end=41.0, a=a, b=b, c=10.0,
-                                         d=0.0),))
+    lead = PiecewiseTrajectory((Arc(t_start=0.0, t_end=41.0, a=a, b=b, c=10.0,
+                                    d=0.0),))
     traj, sol = solve_safety(1.5, 12.0, lead, CFG, terminal="follower")
     assert sol.tau2 == pytest.approx(40.844782, abs=1e-6)
     assert traj.tf == pytest.approx(41.997660, abs=1e-6)

@@ -7,11 +7,10 @@ import pytest
 from scipy.optimize import minimize
 
 from cavcross import verifier
-from cavcross.model import (CubicArc, PiecewiseTrajectory, ScenarioConfig,
-                            VehicleArrival)
+from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig, VehicleArrival
 from cavcross.solver import plan, solve_p0_free, solve_p1_fixed, solve_safety
-from cavcross.verifier import (BlockTridiagonal, OracleResult, audit,
-                               oracle_eval_control, transcription_oracle)
+from cavcross.verifier import BlockTridiagonal, OracleResult, audit, transcription_oracle
+from oracle_eval import oracle_eval_control
 from oracle_search_reference import free_horizon_oracle
 
 CFG = ScenarioConfig(v_max=20.0)
@@ -77,18 +76,18 @@ def test_audit_catches_cap_violations():
 
 def test_audit_catches_control_jump():
     # p and v continuous at t=20 but u jumps from 0.1 to -0.05
-    a1 = CubicArc(t_start=0.0, t_end=20.0, a=0.0, b=0.1, c=10.0, d=0.0)
+    a1 = Arc(t_start=0.0, t_end=20.0, a=0.0, b=0.1, c=10.0, d=0.0)
     c2 = a1.v(20.0) + 0.05 * 20.0
     d2 = a1.p(20.0) - (-0.025 * 400.0 + c2 * 20.0)
-    a2 = CubicArc(t_start=20.0, t_end=36.0, a=0.0, b=-0.05, c=c2, d=d2)
+    a2 = Arc(t_start=20.0, t_end=36.0, a=0.0, b=-0.05, c=c2, d=d2)
     traj = PiecewiseTrajectory((a1, a2))
     rep = audit(traj, CFG, terminal_mode="fixed")
     assert "control continuity" in _failed_names(rep)
 
 
 def test_audit_catches_short_terminal():
-    traj = PiecewiseTrajectory((CubicArc(t_start=0.0, t_end=30.0, a=0.0, b=0.0,
-                                         c=10.0, d=0.0),))   # ends at 300 m
+    traj = PiecewiseTrajectory((Arc(t_start=0.0, t_end=30.0, a=0.0, b=0.0,
+                                    c=10.0, d=0.0),))   # ends at 300 m
     rep = audit(traj, CFG, terminal_mode="fixed")
     assert "terminal position" in _failed_names(rep)
 
@@ -107,10 +106,10 @@ def test_audit_catches_sign_structure():
     rep = audit(traj, CFG, terminal_mode="free")
     assert "accel-relax slope sign" in _failed_names(rep)
     # a boundary-value cubic that brakes then recovers is not single-signed
-    dip = PiecewiseTrajectory((CubicArc(t_start=0.0, t_end=41.0,
-                                        a=0.0017411238954745383,
-                                        b=-0.03569303985722797,
-                                        c=10.0, d=0.0),))
+    dip = PiecewiseTrajectory((Arc(t_start=0.0, t_end=41.0,
+                                   a=0.0017411238954745383,
+                                   b=-0.03569303985722797,
+                                   c=10.0, d=0.0),))
     rep2 = audit(dip, CFG, terminal_mode="fixed")
     assert "single-signed control" in _failed_names(rep2)
     assert audit(dip, CFG, terminal_mode="given").ok
@@ -249,6 +248,19 @@ def test_free_horizon_search_with_a_stand_in_solve(monkeypatch, qp, v0, cfg):
     ref = free_horizon_oracle(0.0, v0, cfg)
     res = transcription_oracle(0.0, v0, cfg)
     _assert_same_result(res, ref)
+
+
+def test_free_horizon_search_without_a_feasible_horizon_stays_near_the_least_shortfall():
+    # the gap behind the leader is breached by 1.5 m at entry, so no horizon
+    # is feasible; priced by its violation, the search keeps to the horizons
+    # that miss by little more than that breach instead of drifting below
+    # the scan start to the shortest horizon it tries (tf = 9.19 s, a miss of
+    # 309.6, under a flat price)
+    lead = solve_p1_fixed(0.0, 11.0, 36.0, CFG)[1]
+    res = transcription_oracle(1.0, 12.5, CFG, dt=0.2, leader=lead)
+    assert not res.feasible
+    assert res.tf > 1.0 + CFG.exit_distance / CFG.v_max
+    assert 1.4 < res.max_violation < 1.5
 
 
 @pytest.mark.parametrize("cfg", [CFG, CAP], ids=["wide", "cap"])

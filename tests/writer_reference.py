@@ -11,7 +11,6 @@ compare the two files.
 import numpy as np
 
 from cavcross.model import PiecewiseTrajectory
-from cavcross.sim import _ARC_KIND
 
 
 def _sample_times(traj: PiecewiseTrajectory, step: float) -> np.ndarray:
@@ -32,7 +31,7 @@ def write_trajectories_per_row(result, path: str):
         ts = _sample_times(traj, step)
         p, v, u = traj.sample(ts)
         for i, t in enumerate(ts):
-            kind = _ARC_KIND[type(traj.arc_at(float(t)))]
+            kind = traj.arc_at(float(t)).kind
             lines.append(f"{t:.6f},{p[i]:.6f},{v[i]:.6f},{u[i]:.9f},"
                          f"{kind},{run.arrival.id}")
     with open(path, "w", encoding="utf-8") as fh:
