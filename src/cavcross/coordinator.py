@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (ConfigError, PiecewiseTrajectory, ScenarioConfig,
+from .model import (GRID_BLOCK, ConfigError, PiecewiseTrajectory, ScenarioConfig,
                     VehicleArrival)
 
 TIE_EPS = 1e-9
@@ -144,14 +144,44 @@ class _Passed:
         return self.entry.arrival.id
 
 
-def _worst_gap(cfg: ScenarioConfig, ts, p, v, t_hi, lead: PiecewiseTrajectory):
-    """(t, gap) of the most negative sampled rear-end gap below -1e-6, or None."""
-    pj = lead.extended(t_hi + 1e-9).sample(ts)[0]
-    gap = pj - p - cfg.phi * v - cfg.delta0
-    worst = int(np.argmin(gap))
-    if gap[worst] < -1e-6:
-        return ts[worst], gap[worst]
+def _samples(cfg: ScenarioConfig, traj: PiecewiseTrajectory, ts) -> list:
+    """(p, phi*v) of ``traj`` on ``ts``, one pair per ``GRID_BLOCK`` times."""
+    out = []
+    for at in range(0, ts.size, GRID_BLOCK):
+        p, v, _ = traj.sample(ts[at:at + GRID_BLOCK])
+        out.append((p, cfg.phi * v))
+    return out
+
+
+def _worst_gap(cfg: ScenarioConfig, ts, samples, t_hi, lead: PiecewiseTrajectory):
+    """(t, gap) of the most negative rear-end gap behind ``lead`` at ``ts``,
+    the follower's ``_samples`` there, if below -1e-6, else None; the first
+    worst time is kept."""
+    lead = lead.extended(t_hi + 1e-9)
+    worst, t_worst = np.inf, None
+    for at, (p, phi_v) in zip(range(0, ts.size, GRID_BLOCK), samples):
+        seg = ts[at:at + GRID_BLOCK]
+        gap = lead.sample(seg)[0] - p - phi_v - cfg.delta0
+        i = int(np.argmin(gap))
+        if gap[i] < worst:
+            worst, t_worst = gap[i], seg[i]
+    if worst < -1e-6:
+        return t_worst, worst
     return None
+
+
+def _block_need(cfg: ScenarioConfig, ts, samples):
+    """(first time, largest ``p + phi*v + delta0``) of each of the
+    ``_BLOCKS`` index blocks of ``ts``, from the follower's ``_samples``."""
+    size = -(-ts.size // _BLOCKS)
+    starts = np.arange(0, ts.size, size)
+    need = np.full(starts.size, -np.inf)
+    for at, (p, phi_v) in zip(range(0, ts.size, GRID_BLOCK), samples):
+        # blocks lo..hi-1 overlap the slice, the first maybe begun in the last one
+        lo, hi = at // size, -(-(at + p.size) // size)
+        part = np.maximum.reduceat(p + phi_v + cfg.delta0, np.maximum(starts[lo:hi] - at, 0))
+        need[lo:hi] = np.maximum(need[lo:hi], part)
+    return ts[starts], need
 
 
 def _cleared(leads: list, t0: float, tf: float, t_b, need) -> set:
@@ -184,18 +214,15 @@ def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dic
         if j.traj.t0 > t0:
             # a TIE_EPS tie queued j first: the pair keeps its own grid
             ts = traj.dense_times(step, j.traj.t0)
-            p, v, _ = traj.sample(ts)
-            found[j.cav] = _worst_gap(cfg, ts, p, v, tf, j.traj)
+            found[j.cav] = _worst_gap(cfg, ts, _samples(cfg, traj, ts), tf, j.traj)
     shared = [j for j in leads if j.traj.t0 <= t0]
     if shared:
         ts = traj.dense_times(step, t0)
-        p, v, _ = traj.sample(ts)
-        starts = np.arange(0, ts.size, -(-ts.size // _BLOCKS))
-        need = np.maximum.reduceat(p + cfg.phi * v + cfg.delta0, starts)
-        cleared = _cleared(shared, t0, tf, ts[starts], need)
+        samples = _samples(cfg, traj, ts)
+        cleared = _cleared(shared, t0, tf, *_block_need(cfg, ts, samples))
         for j in shared:
             if j.cav not in cleared:
-                found[j.cav] = _worst_gap(cfg, ts, p, v, tf, j.traj)
+                found[j.cav] = _worst_gap(cfg, ts, samples, tf, j.traj)
     return {k: hit for k, hit in found.items() if hit is not None}
 
 
@@ -224,7 +251,8 @@ def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
     Rear-end pairs with ``t0_j <= t0_i`` share the grid of the pair
     definition, since its lower end is ``t0_i``; anything else is a
     ``TIE_EPS`` tie and keeps its own grid. The grid, i's samples and its
-    extrema are built once per CAV. A pair is then skipped only when a
+    extrema are built once per CAV; i is sampled, and gaps are formed and
+    reduced, ``GRID_BLOCK`` times at a time. A pair is then skipped only when a
     bound proves that no sampled gap can reach -1e-6. If j's speed is
     nowhere negative (its minimum lies at an arc end or a v extremum, and
     the exit speed holds afterwards), ``P_j`` is nondecreasing apart from
@@ -235,8 +263,9 @@ def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
     rounding some 1e-12 m, far inside the 1e-6 tolerance. A j that has
     left by ``t0_i`` is affine over i's window, so one array expression
     bounds all of them at once. A pair the bound does not clear runs the
-    sampled check itself on the shared grid, so the verdicts and the
-    reported (t, margin) are the ones the all-pairs check gives.
+    sampled check itself on the shared grid and i's samples, so the
+    verdicts and the reported (t, margin) are the ones the all-pairs check
+    gives.
     """
     cfg = coord.cfg
     report = GuaranteeReport(ok=True)

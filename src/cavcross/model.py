@@ -36,6 +36,7 @@ class ConfigError(ValueError):
 
 
 _EDGE_TOL = 1e-9
+GRID_BLOCK = 4096   # 1 ms grid points the audit and the fleet check sample at a time
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""The solver's two root finders.
+"""The solver's root finders.
 
 * ``bracket_roots`` -- every root of a scalar function on a grid: one scan
   for sign changes, each bracket refined by Chandrupatla's hybrid of inverse
   quadratic interpolation and bisection (Chandrupatla 1997; the same family
   as Brent 1973). The free horizon, the gap-ride entry and exit, the
   position-cap dwell, arc extrema and position crossings go through it.
+* ``quadratic_roots`` and ``smallest_positive_root`` -- the closed-form
+  roots of a quadratic, the second elementwise over arrays, for the
+  gap-ride departure scan.
 * ``solve_system`` -- damped Newton on a stacked residual vector:
   forward-difference Jacobian, Armijo backtracking on the squared residual
   norm, and a deterministic ladder of initial guesses supplied by the
@@ -163,3 +166,24 @@ def _chandrupatla(fn, a, b, fa, fb):
             t = 0.5
         t = min(1.0 - tl, max(tl, t))
     return xm
+
+
+def quadratic_roots(c0, c1, c2):
+    """Real roots of c2*t^2 + c1*t + c0 (none when all three vanish)."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [q / c2] + ([c0 / q] if q != 0.0 else [])
+
+
+def smallest_positive_root(A, B, C):
+    """Smallest positive root of A*s^2 + B*s + C, NaN when there is none,
+    elementwise: the roots of ``quadratic_roots`` by the same arithmetic."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
+        first = np.where(A == 0.0, np.where(B != 0.0, -C / B, np.nan), q / A)
+        second = np.where((A != 0.0) & (q != 0.0), C / q, np.nan)
+    return np.fmin(np.where(first > 0.0, first, np.nan), np.where(second > 0.0, second, np.nan))

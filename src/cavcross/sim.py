@@ -16,6 +16,7 @@ returns everything the writers need for ``trajectories.csv``,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -258,22 +259,128 @@ def _sample_times(traj: PiecewiseTrajectory, step: float) -> np.ndarray:
     return np.sort(np.concatenate([grid[near > 1e-9], bp]))
 
 
+# Numbers are written from arrays: |x|*10^d rounded to an integer gives the
+# digits of x to d decimals, the same digits an f-string prints whenever
+# |x|*10^d lies off a rounding tie (its product rounds monotonically, and
+# k + 0.5 is exact below 2^52). Rows with a value within _TIE of a tie, non-
+# finite or too large for that are formatted by the f-string instead.
+_ROWS = 4096                                   # rows formatted per block
+_DECIMALS = (6, 6, 6, 9)                       # t, p, v, u
+_SCALE = tuple(10.0 ** d for d in _DECIMALS)
+_POW = tuple(10 ** d for d in _DECIMALS)
+_TIE = 1e-6
+_HUGE = 1e15
+# ASCII of 000..999, and of 0..999 with leading zeros as NUL bytes (dropped);
+# kept as bytes and viewed as arrays per block: numpy arrays built at import
+# raised the peak memory of every process importing cavcross by 0.3 MB
+_DIGITS = b"".join(b"%03d" % k for k in range(1000))
+_LEAD = b"".join(b"%3d" % k for k in range(1000)).replace(b" ", b"\0")
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(groups):
+    """Byte positions of the numbers of one row with ``groups`` 3-digit
+    integer groups: (template with the dots and commas, sign positions,
+    positions of each integer group, of each fraction group), the groups
+    least significant first and each holding its digits column by column."""
+    template, signs = [], []
+    ints, fracs = [[] for _ in range(groups)], [[] for _ in range(3)]
+
+    def put(target, count):
+        target.extend(range(len(template), len(template) + count))
+        template.extend([0] * count)
+
+    for col, dec in enumerate(_DECIMALS):
+        put(signs, 1)
+        for k in reversed(range(groups)):
+            put(ints[k], 3)
+        template.append(ord("."))
+        for k in reversed(range(dec // 3)):
+            put(fracs[k], 3)
+        if col < 3:
+            template.append(ord(","))
+    return (np.array(template, dtype=np.uint8), np.array(signs),
+            [np.array(g) for g in ints], [np.array(g) for g in fracs])
+
+
+def _format_rows(x, tails, arcs) -> bytes:
+    """CSV bytes of the rows (t, p, v, u) of ``x``, row i ending in ``tails[arcs[i]]``.
+
+    Every number is formatted as its f-string would be: fixed-point digits
+    into a uint8 matrix with NUL bytes as padding, which are then dropped.
+    """
+    rows = x.shape[0]
+    digits, unpadded = (np.frombuffer(t, dtype=np.uint8).reshape(1000, 3) for t in (_DIGITS, _LEAD))
+    scaled = np.abs(x) * _SCALE
+    odd = ~(scaled < _HUGE)            # also NaN and inf
+    scaled[odd] = 0.0
+    near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= _TIE
+    fallback = np.flatnonzero((odd | near_tie).any(axis=1))
+    ip, fp = np.divmod(np.rint(scaled).astype(np.int64), _POW)
+    groups, largest = 1, int(ip.max(initial=0))
+    while largest >= 1000 ** groups:
+        groups += 1
+    template, signs, ints, fracs = _layout(groups)
+    mat = np.empty((rows, template.size + tails.shape[1]), dtype=np.uint8)
+    mat[:, :template.size] = template
+    mat[:, template.size:] = tails[arcs]
+    mat[:, signs] = np.signbit(x) * ord("-")
+    for pos in fracs[:2]:       # 6 decimals are two groups, u's 9 three
+        fp, g = np.divmod(fp, 1000)
+        mat[:, pos] = np.take(digits, g, axis=0).reshape(rows, -1)
+    mat[:, fracs[2]] = np.take(digits, fp[:, 3], axis=0)
+    # a number's leading group is printed without leading zeros, those above it not at all
+    top = sum((ip >= 1000 ** k for k in range(1, groups)), np.zeros_like(ip))
+    for k, pos in enumerate(ints):
+        # group k, the most significant one being all that is left of ip
+        ip, g = np.divmod(ip, 1000) if k + 1 < groups else (ip, ip)
+        group = np.take(unpadded, g, axis=0)
+        if groups > 1:
+            group = np.where((top > k)[..., None], np.take(digits, g, axis=0), group)
+            group[top < k] = 0
+        mat[:, pos] = group.reshape(rows, -1)
+    if not fallback.size:
+        return mat[mat != 0].tobytes()
+    mat[fallback] = 0
+    ends = np.cumsum(np.count_nonzero(mat, axis=1)).tolist()
+    data = mat[mat != 0].tobytes()
+    out, at = [], 0
+    for i in fallback.tolist():
+        out += [data[at:ends[i]], _row_fstring(x[i], tails[arcs[i]])]
+        at = ends[i]
+    out.append(data[at:])
+    return b"".join(out)
+
+
+def _row_fstring(values, tail) -> bytes:
+    """One row formatted by f-strings, for the rows ``_format_rows`` cannot
+    format from digits; ``tail`` is NUL-padded."""
+    t, p, v, u = values.tolist()
+    return f"{t:.6f},{p:.6f},{v:.6f},{u:.9f}".encode() + tail.tobytes().rstrip(b"\0")
+
+
 def write_trajectories(result: SimResult, path: str):
-    """One row per sample time; ``arc_kind`` is the arc in force at t."""
+    """One row per sample time; ``arc_kind`` is the arc in force at t.
+
+    Each trajectory is sampled once and formatted ``_ROWS`` rows at a time
+    by ``_format_rows``; the bytes are those of one f-string per row.
+    """
     step = result.scenario.run.sample_step
-    lines = ["t,p,v,u,arc_kind,cav_id"]
-    for run in result.runs:
-        traj = run.trajectory
-        if traj is None:
-            continue
-        ts = _sample_times(traj, step)
-        p, v, u = traj.sample(ts)
-        tails = [f"{arc.kind},{run.arrival.id}" for arc in traj.arcs]
-        lines.extend(f"{t:.6f},{pi:.6f},{vi:.6f},{ui:.9f},{tails[k]}"
-                     for t, pi, vi, ui, k in zip(ts.tolist(), p.tolist(), v.tolist(),
-                                                 u.tolist(), traj.arc_indices(ts).tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t,p,v,u,arc_kind,cav_id\n")
+        for run in result.runs:
+            traj = run.trajectory
+            if traj is None:
+                continue
+            ts = _sample_times(traj, step)
+            x = np.stack((ts, *traj.sample(ts)), axis=1)
+            ends = [f",{arc.kind},{run.arrival.id}\n".encode() for arc in traj.arcs]
+            tails = np.zeros((len(ends), max(map(len, ends))), dtype=np.uint8)
+            for row, end in zip(tails, ends):
+                row[:len(end)] = np.frombuffer(end, dtype=np.uint8)
+            arcs = traj.arc_indices(ts)
+            for lo in range(0, ts.size, _ROWS):
+                fh.write(_format_rows(x[lo:lo + _ROWS], tails, arcs[lo:lo + _ROWS]))
 
 
 def write_summary(result: SimResult, path: str):

@@ -47,7 +47,7 @@ import numpy as np
 from .bounds import TerminalWindow, composite_window
 from .model import (Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig,
                     VehicleArrival, _pint, _pval)
-from .newton import bracket_roots, solve_system
+from .newton import bracket_roots, quadratic_roots, smallest_positive_root, solve_system
 
 
 class SolverError(RuntimeError):
@@ -332,6 +332,16 @@ def _ride_eval(pieces, t):
     return float(last.p(t)), float(last.v(t)), float(last.u(t))
 
 
+def _ride_states(pieces, ts):
+    """``_ride_eval`` at each of the sorted times ``ts``, as (p, v, u) arrays."""
+    cuts = ([0] + np.searchsorted(ts, [piece.t_end + 1e-9 for piece in pieces[:-1]],
+                                  side="right").tolist() + [ts.size])
+    p, v, u = np.empty_like(ts), np.empty_like(ts), np.empty_like(ts)
+    for piece, lo, hi in zip(pieces, cuts, cuts[1:]):
+        p[lo:hi], v[lo:hi], u[lo:hi] = piece.p(ts[lo:hi]), piece.v(ts[lo:hi]), piece.u(ts[lo:hi])
+    return p, v, u
+
+
 def _truncate_ride(pieces, t_end):
     out = []
     for piece in pieces:
@@ -426,22 +436,6 @@ def _gap_closed(arc, leader: PiecewiseTrajectory, cfg: ScenarioConfig):
     return _first_crossing(track, +1, 0.0, 5e-7) is None
 
 
-def _quadratic_roots(c0, c1, c2):
-    """Real roots of c2*t^2 + c1*t + c0 (none when all three vanish)."""
-    if c2 == 0.0:
-        return [-c0 / c1] if c1 != 0.0 else []
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return []
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    return [q / c2] + ([c0 / q] if q != 0.0 else [])
-
-
-def _smallest_positive_root(A, B, C):
-    """Smallest positive root of A*s^2 + B*s + C, NaN when there is none."""
-    return min((x for x in _quadratic_roots(C, B, A) if x > 0.0), default=math.nan)
-
-
 def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
     """Departing cubic leaving the gap boundary at tau2.
 
@@ -460,7 +454,8 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
       u_f = u_r + e*s and eta = u_f/phi, g = gamma - u_f^2/2 + e*v_f + eta*v_kf.
 
     g is scanned on 300 points of tau2 between tau1 and the end of the ride
-    (and the pinned tf), NaN where no tail of positive length exists; the
+    (and the pinned tf), NaN where no tail of positive length exists, in
+    one array evaluation of ``tail``; roots are refined by scalar calls. The
     first root whose tail keeps the gap closed (``_gap_closed``) wins.
     Returns (tail arc on [tau2, tf], eta) or None when no admissible
     departure exists (the signal for riding to the exit instead).
@@ -468,37 +463,40 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
     D, gamma, phi = cfg.exit_distance, cfg.gamma, cfg.phi
     t_kf, v_kf = leader.tf, leader.vf
 
-    def tail(tau2):
-        """(tf, tail slope e, residual g) of the departure at tau2."""
-        p_r, v_r, u_r = _ride_eval(pieces, tau2)
-        if mode == "follower":
-            # v_f = alpha + beta*s; no departure once the ride has passed the exit
-            alpha = (v_kf * (tau2 - t_kf) - cfg.delta0) / phi
-            beta = v_kf / phi
-            s = math.nan if p_r >= D else _smallest_positive_root(
-                u_r / 6.0 + beta / 3.0, (2.0 * v_r + alpha) / 3.0, p_r - D)
-            v_f = alpha + beta * s
-            e = 2.0 * (v_f - v_r - u_r * s) / (s * s)
-            u_f = u_r + e * s
-            return tau2 + s, e, gamma - 0.5 * u_f * u_f + e * v_f + u_f / phi * v_kf
-        if mode == "fixed":
-            s = tf_fixed - tau2
-        else:
-            den = gamma - 0.5 * u_r * u_r
-            s = u_r * v_r / den if den else math.nan
-        if not s > 0.0:
-            return math.nan, math.nan, math.nan
-        tf = tf_fixed if mode == "fixed" else tau2 + s
-        return tf, -u_r / s, p_r + v_r * s + u_r * s * s / 3.0 - D
+    def tail(tau2, p_r, v_r, u_r):
+        """(tf, tail slope e, residual g) of the departure at tau2 from the
+        ride state there, elementwise when the arguments are arrays."""
+        tau2, p_r, v_r, u_r = (np.asarray(x, dtype=float) for x in (tau2, p_r, v_r, u_r))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if mode == "follower":
+                # v_f = alpha + beta*s; no departure once the ride has passed the exit
+                alpha = (v_kf * (tau2 - t_kf) - cfg.delta0) / phi
+                beta = v_kf / phi
+                s = np.where(p_r >= D, np.nan, smallest_positive_root(
+                    u_r / 6.0 + beta / 3.0, (2.0 * v_r + alpha) / 3.0, p_r - D))
+                v_f = alpha + beta * s
+                e = 2.0 * (v_f - v_r - u_r * s) / (s * s)
+                u_f = u_r + e * s
+                return tau2 + s, e, gamma - 0.5 * u_f * u_f + e * v_f + u_f / phi * v_kf
+            if mode == "fixed":
+                s = tf_fixed - tau2
+            else:
+                den = gamma - 0.5 * u_r * u_r
+                s = np.where(den != 0.0, u_r * v_r / den, np.nan)
+            s = np.where(s > 0.0, s, np.nan)
+            return (tf_fixed if mode == "fixed" else tau2 + s), -u_r / s, \
+                p_r + v_r * s + u_r * s * s / 3.0 - D
 
     hi = pieces[-1].t_end - 1e-6
     if mode == "fixed":
         hi = min(hi, tf_fixed - 1e-6)
     if hi <= tau1 + 1e-6:
         return None
-    for tau2 in bracket_roots(lambda t: tail(t)[2], np.linspace(tau1 + 1e-6, hi, 300)):
-        tf, e, _ = tail(tau2)
+    grid = np.linspace(tau1 + 1e-6, hi, 300)
+    for tau2 in bracket_roots(lambda t: float(tail(t, *_ride_eval(pieces, t))[2]), grid,
+                              tail(grid, *_ride_states(pieces, grid))[2]):
         p_r, v_r, u_r = _ride_eval(pieces, tau2)
+        tf, e, _ = (float(x) for x in tail(tau2, p_r, v_r, u_r))
         arc = Arc.through(tau2, tf, p_r, v_r, e, u_r - e * tau2)
         if _gap_closed(arc, leader, cfg):
             return arc, (arc.u(tf) / phi if mode == "follower" else None)
@@ -648,7 +646,7 @@ def solve_limits(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,
             if u > 0.0:
                 # with T = (k + 1)*s - v0/u, p(tf) - D has no term linear in s
                 k = cfg.gamma / (u * u) - 0.5
-                roots = _quadratic_roots(-D - 0.5 * v0 * v0 / u, 0.0,
+                roots = quadratic_roots(-D - 0.5 * v0 * v0 / u, 0.0,
                                          u * (0.5 * (k + 1.0) ** 2 - 1.0 / 6.0))
                 s = min((x for x in roots if x > 0.0 and k * x - v0 / u > 0.0),
                         default=math.nan)
@@ -743,7 +741,7 @@ def _gap_rate_roots(arc, lead_arc, phi, lo, hi):
         exps[lead_arc.phi] = np.polynomial.polynomial.polyadd(
             exps.get(lead_arc.phi, (0.0,)), lead_arc._rv)
     if not exps:
-        roots = sorted(_quadratic_roots(*q))
+        roots = sorted(quadratic_roots(*q))
     else:
         def gap_rate(t):
             out = _pval(q, t)

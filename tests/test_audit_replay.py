@@ -1,0 +1,103 @@
+"""``verifier.audit`` against the whole-grid audit it replaced.
+
+Every audit that ``run_simulation`` makes for the six fixtures, the 100 c7
+scenarios and the lane streams of ``bench/inputs.STREAM_POOL`` is replayed
+by ``audit_reference.audit_whole_grid`` with the same arguments: the same
+checks in the same order, the same verdicts, and worst values and times
+within 1e-12. Then the closed-form candidates on their own: a leaderless
+audit samples no grid, and the left arc's value at a junction, which no
+grid point sees, is checked.
+"""
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from cavcross import sim
+from cavcross.fixtures import FIXTURES, fixture
+from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
+from cavcross.solver import solve_limits, solve_p0_free
+from cavcross.verifier import audit
+from audit_reference import audit_whole_grid
+from test_acceptance import _random_scenario
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from bench import inputs  # noqa: E402
+
+TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def audits():
+    """(trajectory, config, keyword arguments, report) of every audit made."""
+    scenarios = [fixture(name) for name in sorted(FIXTURES)]
+    scenarios += [_random_scenario(seed) for seed in range(100)]
+    scenarios += [inputs.lane_stream(s) for s in inputs.STREAM_POOL]
+    calls = []
+
+    def recorded(traj, cfg, **kwargs):
+        rep = audit(traj, cfg, **kwargs)
+        calls.append((traj, cfg, kwargs, rep))
+        return rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "audit", recorded)
+        for raw in scenarios:
+            sim.run_simulation(sim.load_scenario(raw))
+    return calls
+
+
+def test_audit_matches_the_whole_grid_reference(audits):
+    led = tracked = 0
+    for traj, cfg, kwargs, rep in audits:
+        ref = audit_whole_grid(traj, cfg, **kwargs)
+        assert [c.name for c in rep.checks] == [c.name for c in ref.checks]
+        for got, want in zip(rep.checks, ref.checks):
+            assert got.ok == want.ok, got.name
+            assert abs(got.worst - want.worst) <= TOL, (got, want)
+            assert abs(got.t_worst - want.t_worst) <= TOL, (got, want)
+        led += kwargs["leader"] is not None
+        tracked += any(arc.kind == "track" for arc in traj.arcs)
+    assert len(audits) > 600 and led > 200 and tracked > 20
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Names of the PiecewiseTrajectory grid methods called."""
+    calls = []
+    for name in ("sample", "dense_times"):
+        original = getattr(PiecewiseTrajectory, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PiecewiseTrajectory, name, counted)
+    return calls
+
+
+def test_leaderless_audit_samples_no_grid(grid_calls):
+    cfg = ScenarioConfig(u_max=0.2, u_min=-0.2, v_max=13.5)
+    _, free = solve_p0_free(0.0, 8.0, ScenarioConfig(v_max=30.0))
+    capped, _ = solve_limits(0.0, 10.0, cfg)
+    assert [arc.kind for arc in capped.arcs] == ["sat", "cubic", "cruise"]
+    grid_calls.clear()
+    assert audit(free, ScenarioConfig(v_max=30.0)).ok
+    assert audit(capped, cfg, lateral_tm=20.0).ok
+    assert grid_calls == []
+
+
+def test_a_junction_above_the_control_cap_fails():
+    # the cubic ends 1e-6 above u_max where a sat arc at u_max takes over:
+    # every grid time before the junction lies 1 ms or more back, where the
+    # cubic is 5e-4 lower, and the grid evaluates the junction on the sat arc
+    cfg = ScenarioConfig(v_max=50.0, u_max=3.0)
+    head = Arc.through(0.0, 5.0, 0.0, 10.0, 0.5, cfg.u_max + 1e-6 - 2.5)
+    tail = Arc.through(5.0, 10.0, head.p(5.0), head.v(5.0), 0.0, cfg.u_max, kind="sat")
+    traj = PiecewiseTrajectory((head, tail))
+    rep = audit(traj, cfg, terminal_mode="fixed")
+    upper = next(c for c in rep.checks if c.name == "control upper bound")
+    assert not upper.ok
+    assert upper.worst == pytest.approx(1e-6, rel=1e-6) and upper.t_worst == 5.0
+    assert np.isclose(audit_whole_grid(traj, cfg, terminal_mode="fixed").checks[0].worst, 0.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cavcross.coordinator import TIE_EPS, Coordinator, check_guarantees
+from cavcross.coordinator import (_BLOCKS, TIE_EPS, Coordinator, _block_need, _samples,
+                                  check_guarantees)
 from cavcross.model import (Arc, ConfigError, PiecewiseTrajectory,
                             ScenarioConfig, VehicleArrival)
 from cavcross.solver import plan, solve_p1_fixed
@@ -47,14 +48,13 @@ def _checked(co):
 
 
 @pytest.fixture
-def big_samples(monkeypatch):
-    """Sizes of the PiecewiseTrajectory.sample calls over more than 1,000 points."""
+def sampled(monkeypatch):
+    """Sizes of every PiecewiseTrajectory.sample call: summed, the points sampled."""
     sizes = []
     original = PiecewiseTrajectory.sample
 
     def counted(self, ts):
-        if np.size(ts) > 1000:
-            sizes.append(np.size(ts))
+        sizes.append(np.size(ts))
         return original(self, ts)
 
     monkeypatch.setattr(PiecewiseTrajectory, "sample", counted)
@@ -195,7 +195,7 @@ def test_guarantees_match_reference_past_a_crawl_exit():
         ("rear_end", 2, 1), ("rear_end", 3, 1), ("rear_end", 4, 1)]
 
 
-def test_guarantees_match_reference_behind_negative_speed(big_samples):
+def test_guarantees_match_reference_behind_negative_speed(sampled):
     # the leader's forced profile backs up near t = 8, so its position is
     # not monotone and no bound may skip the pair, violated or not
     lead = _cubic(0.0, 2.0, 40.0, 40.0)
@@ -203,9 +203,10 @@ def test_guarantees_match_reference_behind_negative_speed(big_samples):
     rep = _checked(_lane_queue([(0.0, 2.0, 40.0, 40.0), (6.0, 10.0, 48.0, 10.0)]))
     assert [v[0] for v in rep.violations] == ["rear_end"]
     co = _lane_queue([(0.0, 2.0, 40.0, 40.0), (35.0, 10.0, 75.0, 10.0)])
-    big_samples.clear()
+    grid = co.entries[1].trajectory.dense_times(1e-3, 35.0).size
+    sampled.clear()
     assert check_guarantees(co).ok
-    assert len(big_samples) == 2    # the follower's grid, then the pair's gap
+    assert sum(sampled) == 2 * grid    # the follower's grid, then the pair's gap
     assert _checked(co).ok
 
 
@@ -221,13 +222,29 @@ def test_guarantees_match_reference_on_a_tie():
     assert rep.violations[0][3] >= 5.0 + TIE_EPS / 2
 
 
-def test_guarantee_work_is_linear_in_queue_length(big_samples):
+def test_guarantee_work_is_linear_in_queue_length(sampled):
     # 300 cruises 2 s apart: the all-pairs check would sample 44,850 pairs
-    # over their full grids; here each CAV's grid is sampled once
+    # over their full grids; here each CAV's grid is sampled once, and the
+    # predecessors still in the zone only at its 64 block starts
     n = 300
     co = Coordinator(CFG)
     for i in range(n):
         co.attach(co.enqueue(_arr(i + 1, 2.0 * i)), _cruise(2.0 * i, 2.0 * i + 40.0))
+    grid = co.entries[0].trajectory.dense_times(1e-3).size
+    sampled.clear()
     rep = check_guarantees(co)
     assert rep.ok
-    assert len(big_samples) <= 2 * n
+    assert sum(sampled) <= 2 * n * grid
+
+
+@pytest.mark.parametrize("tf", [3.0, 40.0, 263.0])
+def test_block_bound_over_slices_matches_the_whole_grid(tf):
+    # block sizes of 47, 626 and 4110 points: slices cut blocks anywhere,
+    # or, past 4096, a block spans slices
+    traj = _cubic(0.0, 10.0, tf, 400.0 / tf)
+    ts = traj.dense_times(1e-3, 0.0)
+    p, v, _ = traj.sample(ts)
+    starts = np.arange(0, ts.size, -(-ts.size // _BLOCKS))
+    t_b, need = _block_need(CFG, ts, _samples(CFG, traj, ts))
+    assert np.array_equal(t_b, ts[starts])
+    assert np.array_equal(need, np.maximum.reduceat(p + CFG.phi * v + CFG.delta0, starts))

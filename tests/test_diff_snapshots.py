@@ -36,14 +36,19 @@ def _run(tmp_path, capsys, **after):
     return code, capsys.readouterr().out
 
 
-def _row(out, kind, column):
-    """(differing, compared, largest difference) of one printed column."""
+def _fields(out, kind, column):
+    """(differing, compared, largest difference, same value in other text) of one column."""
     for line in out.splitlines():
         if line.startswith(kind) and line[18:62].strip() == column:
-            differ, largest = line[62:].split()
+            differ, largest, retext = line[62:].split()
             n, total = differ.split("/")
-            return int(n), int(total), float(largest)
+            return int(n), int(total), float(largest), int(retext)
     raise AssertionError(f"no row for {kind} {column}:\n{out}")
+
+
+def _row(out, kind, column):
+    """(differing, compared, largest difference) of one printed column."""
+    return _fields(out, kind, column)[:3]
 
 
 def test_identical_trees_are_the_same(tmp_path, capsys):
@@ -91,6 +96,27 @@ def test_every_non_numeric_difference_fails_and_is_printed(tmp_path, capsys, aft
     assert code == 1
     assert any(line.startswith("text ") and shown in line for line in out.splitlines())
     assert out.splitlines()[-1].startswith("DIFFERENT: 1 non-numeric difference")
+
+
+def test_numbers_equal_in_value_but_not_in_text_are_counted(tmp_path, capsys):
+    # a zero that gained a sign, an exponent form, a trailing zero: all the
+    # same values, so counted and listed but not failed
+    traj = TRAJ.replace("0.000000,0.000000,10", "0.000000,-0.000000,10").replace(
+        "0.100000000", "1.000e-01")
+    code, out = _run(tmp_path, capsys, traj=traj,
+                     audit=AUDIT.replace("t=31.678", "t=31.6780"))
+    assert code == 0
+    assert _fields(out, "trajectories.csv", "p") == (0, 2, 0.0, 1)
+    assert _fields(out, "trajectories.csv", "u") == (0, 2, 0.0, 1)
+    assert _fields(out, "trajectories.csv", "v") == (0, 2, 0.0, 0)
+    assert _fields(out, "audit.txt", "rear-end gap: t=") == (0, 1, 0.0, 1)
+    listed = [line for line in out.splitlines() if line.startswith("same value, other text")]
+    assert listed == [
+        "same value, other text  audit.txt rear-end gap: t=: fixtures/demo/audit.txt",
+        "same value, other text  trajectories.csv p: fixtures/demo/trajectories.csv",
+        "same value, other text  trajectories.csv u: fixtures/demo/trajectories.csv"]
+    assert out.splitlines()[-1].startswith("SAME: 0 non-numeric differences")
+    assert out.splitlines()[-1].endswith(", 3 numbers equal in value but not in text")
 
 
 def test_usage(tmp_path, capsys):

@@ -2,8 +2,12 @@
 
 ``PiecewiseTrajectory.dense_times`` must give the plain ``np.unique`` grid,
 gap-ride arcs must scan for their extrema once, and ``write_trajectories``
-must write the bytes of the per-row reference writer.
+must write the bytes of the per-row reference writer, also on rounding ties,
+signed zeros, large numbers and trajectories longer than one block.
 """
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,10 +15,14 @@ from cavcross.coordinator import TIE_EPS, GuaranteeReport
 from cavcross.fixtures import FIXTURES, fixture
 from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig, VehicleArrival
 from cavcross.newton import bracket_roots
-from cavcross.sim import (CavRun, RunSettings, Scenario, SimResult, load_scenario,
-                          run_simulation, write_trajectories)
+from cavcross import sim
+from cavcross.sim import (CavRun, RunSettings, Scenario, SimResult, apply_overrides,
+                          load_scenario, run_simulation, write_trajectories)
 from test_acceptance import _random_scenario
 from writer_reference import write_trajectories_per_row
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from bench import inputs  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +124,101 @@ def test_writer_matches_reference_on_hand_built_trajectories(tmp_path):
         # the zero-length arc gives way to the arc after it at its start
         assert "5.000000,52.500000,11.000000,0.200000000,sat,1" in rows
         assert "2.500000,25.625000,10.500000,0.000000000,cruise,2" in rows
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The (t, p, v, u) of every row the writer formats by f-string."""
+    rows = []
+    original = sim._row_fstring
+
+    def counted(values, tail):
+        rows.append(tuple(values.tolist()))
+        return original(values, tail)
+
+    monkeypatch.setattr(sim, "_row_fstring", counted)
+    return rows
+
+
+def _cruise(t0, t1, v, p0, kind="cruise"):
+    return PiecewiseTrajectory((Arc(t_start=t0, t_end=t1, a=0.0, b=0.0, c=v,
+                                    d=p0 - v * t0, kind=kind),))
+
+
+def test_writer_takes_the_fstring_on_exact_ties(tmp_path, fallbacks):
+    # sampled 1/128 s apart: t and the cruise's p = t are k/128 and the
+    # ramp's u = t/8 is k/1024, so every odd k is an exact tie at 6 decimals
+    # (t, p) and at 9 (u), which the f-string rounds half to even
+    ramp = PiecewiseTrajectory((Arc(t_start=0.0, t_end=4.0, a=0.125, b=0.0, c=1.0, d=0.0),))
+    new, ref = _bytes_both(_result_of([_cruise(0.0, 4.0, 1.0, 0.0), ramp], 1 / 128), tmp_path)
+    assert new == ref
+    rows = new.decode().splitlines()
+    assert "0.007812,0.007812,1.000000,0.000000000,cruise,1" in rows
+    assert "0.023438,0.023438,1.000000,0.000000000,cruise,1" in rows
+    assert any(row.startswith("0.007812,") and ",0.000976562,cubic,2" in row for row in rows)
+    odd = {k / 128 for k in range(1, 512, 2)}
+    assert {t for t, p, _, _ in fallbacks if p == t} == odd
+    assert {t for t, _, _, u in fallbacks if u == t / 8} >= odd
+
+
+def test_writer_matches_reference_within_1e_13_of_a_tie(tmp_path, fallbacks):
+    # p = 5e-7 + k*1e-6 lies on a 6-decimal tie up to rounding, and shifted
+    # by 1e-13 either way; u likewise around 9-decimal ties
+    trajs = [_cruise(0.0, 20.0, 1e-6, 5e-7 + off) for off in (-1e-13, 0.0, 1e-13)]
+    trajs += [PiecewiseTrajectory((Arc(t_start=0.0, t_end=20.0, a=0.0, b=u + off,
+                                       c=10.0, d=0.0, kind="sat"),))
+              for u in (5e-10, -1.5e-9, 2.0000005) for off in (-1e-13, 1e-13)]
+    new, ref = _bytes_both(_result_of(trajs, 1.0), tmp_path)
+    assert new == ref
+    assert {"0.000000", "0.000001"} <= {row.split(",")[1] for row in new.decode().splitlines()}
+    assert len(fallbacks) >= 3 * 21
+
+
+def test_writer_keeps_signed_zeros_and_tiny_negatives(tmp_path):
+    signed = PiecewiseTrajectory((Arc(t_start=0.0, t_end=20.0, a=-0.0, b=-0.0, c=-1e-8,
+                                      d=-1e-9, kind="sat"),))
+    creeping = _cruise(0.0, 20.0, 1e-10, -1e-9)    # p crosses 0 at t = 10
+    new, ref = _bytes_both(_result_of([signed, creeping]), tmp_path)
+    assert new == ref
+    assert "0.000000,-0.000000,-0.000000,-0.000000000,sat,1" in new.decode().splitlines()
+    assert {row.split(",")[1] for row in new.decode().splitlines()[1:]} >= {"-0.000000",
+                                                                             "0.000000"}
+
+
+def test_writer_matches_reference_on_large_numbers(tmp_path):
+    # p over 1000 within a block of smaller ones, p and t past 10^6, a
+    # negative speed over 1000
+    trajs = [_cruise(0.0, 10.0, 250.0, 0.0), _cruise(1200.0, 1210.0, 300.0, 2e6 - 5.0),
+             _cruise(0.0, 5.0, -1500.0, 0.0), _cruise(1.5e6, 1.5e6 + 2.0, 12.0, 1e9)]
+    new, ref = _bytes_both(_result_of(trajs), tmp_path)
+    assert new == ref
+    rows = [row.split(",") for row in new.decode().splitlines()[1:]]
+    assert {len(p.split(".")[0]) for _, p, _, _, _, _ in rows} >= {1, 3, 4, 7, 10}
+    assert ["4.000000", "-6000.000000", "-1500.000000"] in [row[:3] for row in rows]
+
+
+def test_writer_matches_reference_on_a_lane_stream_longer_than_one_block(tmp_path):
+    scn = apply_overrides(load_scenario(inputs.lane_stream(0, n=6)), sample_step=0.005)
+    result = run_simulation(scn)
+    assert result.ok
+    new, ref = _bytes_both(result, tmp_path)
+    assert new == ref
+    rows = [row.rsplit(",", 1)[1] for row in new.decode().splitlines()[1:]]
+    assert max(rows.count(str(r.arrival.id)) for r in result.runs) > sim._ROWS
+
+
+def test_row_formatter_matches_fstrings_on_random_values():
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(-1, 1, (2000, 4)) * 10.0 ** rng.integers(-12, 10, (2000, 4)),
+                        np.round(rng.uniform(-500, 500, (2000, 4)), 7)])
+    x[:5, 3] = [np.nan, np.inf, -np.inf, -0.0, 1e20]
+    tails = np.zeros((2, 9), dtype=np.uint8)
+    tails[0, :7] = np.frombuffer(b",sat,1\n", dtype=np.uint8)
+    tails[1, :9] = np.frombuffer(b",track,2\n", dtype=np.uint8)
+    arcs = rng.integers(0, 2, x.shape[0])
+    want = "".join(f"{t:.6f},{p:.6f},{v:.6f},{u:.9f}{(',sat,1', ',track,2')[k]}\n"
+                   for (t, p, v, u), k in zip(x.tolist(), arcs.tolist()))
+    assert sim._format_rows(x, tails, arcs).decode() == want
 
 
 def test_writer_makes_no_arc_at_calls(monkeypatch, tmp_path):

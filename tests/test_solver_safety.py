@@ -1,15 +1,23 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from cavcross import solver
+from cavcross.fixtures import FIXTURES, fixture
 from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
+from cavcross.newton import quadratic_roots, smallest_positive_root
 from cavcross.solver import (SolveReport, StructureError, _entry_coeffs,
                              solve_p1_fixed, solve_safety)
 from cavcross.sim import load_scenario, run_simulation
 from cavcross.verifier import audit
 from safety_reference import solve_safety_joint
 from test_plan_replay import _varied_scenario
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from bench import inputs  # noqa: E402
 
 CFG = ScenarioConfig(v_max=20.0)
 
@@ -221,3 +229,44 @@ def test_approach_past_the_exit_declines():
     declined = [r for r in result.runs if r.error is not None]
     assert [r.arrival.id for r in declined] == [6]
     assert "gap boundary joined past the merging-zone exit" in str(declined[0].error)
+
+
+def test_smallest_positive_root_elementwise_matches_the_scalar_quadratic():
+    rng = np.random.default_rng(3)
+    A, B, C = rng.normal(size=(3, 4000)) * 10.0 ** rng.integers(-3, 3, (3, 4000))
+    A[::7], B[::11], C[::13] = 0.0, 0.0, 0.0
+    A[::29], B[::29] = 0.0, 0.0
+    want = [min((x for x in quadratic_roots(c, b, a) if x > 0.0), default=math.nan)
+            for a, b, c in zip(A.tolist(), B.tolist(), C.tolist())]
+    assert np.array_equal(smallest_positive_root(A, B, C), want, equal_nan=True)
+
+
+def test_departure_scan_is_the_scalar_residual_as_one_array(monkeypatch):
+    """Every departure scan takes its 300 values from one array evaluation.
+    They agree with the scalar calls its roots are refined on: NaN at the
+    same points, the same signs, and within 1e-14 (the ride state of a
+    gap-ride piece comes from ``np.exp`` on the grid and from ``math.exp``
+    at a point, which may differ in the last bit)."""
+    scans = []
+    original = solver.bracket_roots
+
+    def recorded(fn, grid, values=None):
+        if "_exit_block" in fn.__qualname__:
+            scans.append((fn, np.asarray(grid), values))
+        return original(fn, grid, values)
+
+    monkeypatch.setattr(solver, "bracket_roots", recorded)
+    for raw in [fixture(name) for name in sorted(FIXTURES)] + [
+            inputs.lane_stream(s) for s in inputs.STREAM_POOL]:
+        run_simulation(load_scenario(raw))
+    solve_safety(1.5, 12.0, _lead_dip(), CFG, terminal="fixed", tf_fixed=42.5)
+    solve_safety(2.0, 12.0, _lead_pinned(39.0), CFG, terminal="free")
+    assert len(scans) > 50
+    for fn, grid, values in scans:
+        assert values is not None and len(values) == grid.size == 300
+        scalar = np.array([fn(t) for t in grid.tolist()])
+        real = ~np.isnan(scalar)
+        assert np.array_equal(np.isnan(values), ~real)
+        assert np.array_equal(np.sign(values[real]), np.sign(scalar[real]))
+        assert np.all(np.abs(values[real] - scalar[real])
+                      <= 1e-14 * np.maximum(1.0, np.abs(scalar[real])))

@@ -9,11 +9,14 @@ under a column named by the line's label and the word before the number
 (``rear-end gap: t=``, ``oracle: cost=``, ``step: 'tf':``). Two numbers
 differ when their values do; everything else must be equal as text.
 
-Prints, per file type and column, how many numeric fields differ and the
-largest absolute difference, then every non-numeric difference (a file on
-one side only, a different line count, header, text or verdict). Exits 1 on
-any non-numeric difference or any numeric difference above 1e-9, the
-"same behaviour" bound of ROADMAP.md, else 0.
+Prints, per file type and column, how many numeric fields differ, the
+largest absolute difference, and how many fields are equal in value but
+not in text (a zero that lost its sign, ``1e-3`` for ``0.001``), then the
+files holding each such column's text-only differences, then every
+non-numeric difference (a file on one side only, a different line count,
+header, text or verdict). Exits 1 on any non-numeric difference or any
+numeric difference above 1e-9, the "same behaviour" bound of ROADMAP.md,
+else 0; a text-only difference of a number alone does not fail.
 """
 from __future__ import annotations
 
@@ -61,13 +64,19 @@ class Diff:
         self.fields = defaultdict(int)      # (file type, column) -> numeric fields
         self.differ = defaultdict(int)      # (file type, column) -> fields that differ
         self.worst = defaultdict(float)     # (file type, column) -> largest |difference|
+        self.retext = defaultdict(set)      # (file type, column) -> files with a field
+        self.retexts = defaultdict(int)     # equal in value, not in text, and how many
         self.text = []                      # non-numeric differences
 
-    def number(self, kind, column, a, b):
+    def number(self, path, kind, column, a, b):
         key = (kind, column)
         self.fields[key] += 1
         x, y = float(a), float(b)
-        if a == b or x == y or (math.isnan(x) and math.isnan(y)):
+        if a == b:
+            return
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            self.retext[key].add(path)
+            self.retexts[key] += 1
             return
         self.differ[key] += 1
         d = abs(x - y)
@@ -87,7 +96,7 @@ class Diff:
                 continue
             for col, x, y in zip(header, a, b):
                 if NUMBER.fullmatch(x) and NUMBER.fullmatch(y):
-                    self.number(kind, col, x, y)
+                    self.number(path, kind, col, x, y)
                 elif x != y:
                     self.text.append(f"{path}:{row} {col}: {x!r} -> {y!r}")
 
@@ -102,22 +111,26 @@ class Diff:
             label = _label(lo)
             for before, x, y in zip(ta, na, nb):
                 word = before.split()[-1] if before.split() else ""
-                self.number(kind, f"{label}: {word}", x, y)
+                self.number(path, kind, f"{label}: {word}", x, y)
 
     def report(self):
         bad = bool(self.text)
-        print(f"{'file type':<18}{'column':<44}{'differ':>16}  max |diff|")
+        print(f"{'file type':<18}{'column':<44}{'differ':>16}  max |diff|  other text")
         for key in sorted(self.fields):
             kind, column = key
             worst = self.worst[key]
             bad |= worst > SAME_BOUND
             print(f"{kind:<18}{column[:43]:<44}{self.differ[key]:>7d}/{self.fields[key]:<8d}"
-                  f"  {worst:.3e}")
+                  f"  {worst:.3e}  {self.retexts[key]:>9d}")
+        for key in sorted(self.retext):
+            print(f"same value, other text  {key[0]} {key[1]}: "
+                  + ", ".join(sorted(self.retext[key])))
         for line in self.text:
             print("text  " + line)
         largest = max(self.worst.values(), default=0.0)
         print(f"{'DIFFERENT' if bad else 'SAME'}: {len(self.text)} non-numeric differences, "
-              f"largest numeric difference {largest:.3e} (bound {SAME_BOUND:g})")
+              f"largest numeric difference {largest:.3e} (bound {SAME_BOUND:g}), "
+              f"{sum(self.retexts.values())} numbers equal in value but not in text")
         return 1 if bad else 0
 
 
