@@ -12,12 +12,14 @@ lane. The newest member of each coupled group is what the solver needs:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (GRID_BLOCK, ConfigError, PiecewiseTrajectory, ScenarioConfig,
-                    VehicleArrival)
+from .model import (GAP_MARGIN, GRID_BLOCK, ConfigError, PiecewiseTrajectory,
+                    ScenarioConfig, VehicleArrival, gap_pieces, gap_range, gap_terms,
+                    grid_runs, held_terms)
 
 TIE_EPS = 1e-9
 
@@ -113,27 +115,21 @@ class Coordinator:
         entry.trajectory = trajectory
 
 
-_BLOCKS = 64   # index blocks per follower grid in the rear-end bound
-
-
 @dataclass
 class _Passed:
-    """A solved CAV as the CAVs queued after it see it."""
+    """A solved CAV as the CAVs queued after it see it: ``gap_terms`` of its
+    p + phi*v + delta0 as a follower, and ``held_terms`` as a leader."""
 
     entry: QueueEntry
-    v_low: float         # lowest speed: arc ends and v extrema
-    drop: float          # total downward jump of p at its arc junctions
-    p_exit: float        # p(tf); held with speed vf once it has left
+    own: tuple       # gap_terms of its arcs as a follower
+    starts: list     # starts of its arcs after the first, then tf
+    held: tuple      # gap_terms of its arcs and exit hold as a leader
 
     @classmethod
-    def of(cls, entry: QueueEntry) -> "_Passed":
-        arcs = entry.trajectory.arcs
-        v_low = min([min(arc.v(arc.t_start), arc.v(arc.t_end)) for arc in arcs]
-                    + [v for arc in arcs for _, v in arc.v_extrema()])
-        drop = sum(max(0.0, a.p(b.t_start) - b.p(b.t_start))
-                   for a, b in zip(arcs, arcs[1:]))
-        return cls(entry, float(v_low), float(drop),
-                   entry.trajectory.eval(entry.trajectory.tf)[0])
+    def of(cls, entry: QueueEntry, cfg: ScenarioConfig) -> "_Passed":
+        traj = entry.trajectory
+        return cls(entry, gap_terms(traj.arcs, cfg.phi, cfg.phi, cfg.delta0),
+                   *held_terms(traj, cfg.phi))
 
     @property
     def traj(self) -> PiecewiseTrajectory:
@@ -144,24 +140,15 @@ class _Passed:
         return self.entry.arrival.id
 
 
-def _samples(cfg: ScenarioConfig, traj: PiecewiseTrajectory, ts) -> list:
-    """(p, phi*v) of ``traj`` on ``ts``, one pair per ``GRID_BLOCK`` times."""
-    out = []
-    for at in range(0, ts.size, GRID_BLOCK):
-        p, v, _ = traj.sample(ts[at:at + GRID_BLOCK])
-        out.append((p, cfg.phi * v))
-    return out
-
-
-def _worst_gap(cfg: ScenarioConfig, ts, samples, t_hi, lead: PiecewiseTrajectory):
-    """(t, gap) of the most negative rear-end gap behind ``lead`` at ``ts``,
-    the follower's ``_samples`` there, if below -1e-6, else None; the first
-    worst time is kept."""
-    lead = lead.extended(t_hi + 1e-9)
+def _worst_gap(cfg: ScenarioConfig, ts, traj: PiecewiseTrajectory, lead: PiecewiseTrajectory):
+    """(t, gap) of the most negative rear-end gap of ``traj`` behind ``lead``
+    (already held out to past ``traj``'s exit) at ``ts``, if below -1e-6,
+    else None; the first worst time is kept."""
     worst, t_worst = np.inf, None
-    for at, (p, phi_v) in zip(range(0, ts.size, GRID_BLOCK), samples):
+    for at in range(0, ts.size, GRID_BLOCK):
         seg = ts[at:at + GRID_BLOCK]
-        gap = lead.sample(seg)[0] - p - phi_v - cfg.delta0
+        p, v, _ = traj.sample(seg)
+        gap = lead.sample(seg)[0] - p - cfg.phi * v - cfg.delta0
         i = int(np.argmin(gap))
         if gap[i] < worst:
             worst, t_worst = gap[i], seg[i]
@@ -170,60 +157,115 @@ def _worst_gap(cfg: ScenarioConfig, ts, samples, t_hi, lead: PiecewiseTrajectory
     return None
 
 
-def _block_need(cfg: ScenarioConfig, ts, samples):
-    """(first time, largest ``p + phi*v + delta0``) of each of the
-    ``_BLOCKS`` index blocks of ``ts``, from the follower's ``_samples``."""
-    size = -(-ts.size // _BLOCKS)
-    starts = np.arange(0, ts.size, size)
-    need = np.full(starts.size, -np.inf)
-    for at, (p, phi_v) in zip(range(0, ts.size, GRID_BLOCK), samples):
-        # blocks lo..hi-1 overlap the slice, the first maybe begun in the last one
-        lo, hi = at // size, -(-(at + p.size) // size)
-        part = np.maximum.reduceat(p + phi_v + cfg.delta0, np.maximum(starts[lo:hi] - at, 0))
-        need[lo:hi] = np.maximum(need[lo:hi], part)
-    return ts[starts], need
-
-
-def _cleared(leads: list, t0: float, tf: float, t_b, need) -> set:
-    """Ids of the predecessors a monotone bound proves the follower's gap for.
-
-    ``t_b`` holds the first time of each block of the follower's grid on
-    ``[t0, tf]`` and ``need`` its largest ``p + phi*v + delta0`` per block.
-    """
-    out = set()
-    gone = [j for j in leads if j.traj.tf <= t0]
+def _open_pieces(cfg: ScenarioConfig, me: _Passed, leads: list, t_lo: float) -> dict:
+    """Per predecessor in ``leads`` whose closed-form gap bound does not
+    reach -1e-6 + GAP_MARGIN on every ``gap_pieces`` window of [t_lo, tf_i]:
+    (starts of its windows, which of them are open)."""
+    CF, QF, okF = me.own
+    f_starts, t_hi = me.starts[:-1], me.traj.tf
+    blocks = []   # (ta, tb, C, Q, ok) of the rows of some predecessors
+    owners = []   # (predecessor, number of rows), in row order
+    gone = [j for j in leads if j.traj.tf <= t_lo]
     if gone:
-        tf_j, p_j, vf_j = (np.array(col) for col in
-                           zip(*[(j.traj.tf, j.p_exit, j.traj.vf) for j in gone]))
-        held = p_j[:, None] + vf_j[:, None] * (t_b - tf_j[:, None])
-        ok = (vf_j >= 0.0) & np.all(held >= need, axis=1)
-        out.update(j.cav for j, c in zip(gone, ok) if c)
-    for j in leads:
-        if (j.traj.tf > t0 and j.v_low >= 0.0 and np.all(
-                j.traj.extended(tf + 1e-9).sample(t_b)[0] - j.drop >= need)):
-            out.add(j.cav)
+        # i's whole window lies on their exit holds, affine in t: every
+        # hold against every piece of i, in one array expression
+        ta, tb, fi, _ = gap_pieces(t_lo, t_hi, f_starts, ())
+        n = len(gone)
+        hold = np.array([j.held[0][-1] for j in gone])
+        blocks.append((ta * n, tb * n, (hold[:, None, :] - CF[fi][None]).reshape(-1, 4),
+                       np.tile(-QF[fi], (n, 1)), np.tile(okF[fi], n)))
+        owners += [(j, len(ta)) for j in gone]
+    zone = [j for j in leads if j.traj.tf > t_lo]
+    if zone:
+        ta, tb, fi, li, at = [], [], [], [], 0
+        for j in zone:
+            a, b, f, l = gap_pieces(t_lo, t_hi, f_starts, j.starts)
+            ta += a
+            tb += b
+            fi += f
+            li += [k + at for k in l]
+            at += len(j.starts) + 1
+            owners.append((j, len(a)))
+        CL, QL, okL = (np.concatenate(col) for col in zip(*(j.held for j in zone)))
+        blocks.append((ta, tb, CL[li] - CF[fi], QL[li] - QF[fi], okL[li] & okF[fi]))
+    if not owners:
+        return {}
+    ta, tb = (sum(col, []) for col in list(zip(*blocks))[:2])
+    C, Q, ok = (np.concatenate(col) for col in list(zip(*blocks))[2:])
+    open_ = gap_range(C, Q, ok, np.array(ta), np.array(tb), cfg.phi)[0] < -1e-6 + GAP_MARGIN
+    out, at = {}, 0
+    for j, n in owners:
+        if open_[at:at + n].any():
+            out[j.cav] = (ta[at:at + n], open_[at:at + n])
+        at += n
     return out
+
+
+def _breaches(cfg: ScenarioConfig, me: _Passed, leads: list, t_lo: float, step: float) -> dict:
+    """Rear-end violations of ``me`` behind ``leads`` on its grid from
+    ``t_lo``, by id.
+
+    Only the pieces the bound leaves open are sampled: i once, on their
+    union, then each such predecessor there. A sampled gap below -1e-6
+    sends the pair through ``_worst_gap`` over the whole grid.
+    """
+    opened = _open_pieces(cfg, me, leads, t_lo)
+    if not opened:
+        return {}
+    traj, until = me.traj, me.traj.tf + 1e-9
+    ts = traj.dense_times(step, t_lo)
+    runs = {}
+    for cav, (ta, open_) in opened.items():
+        lo, hi = grid_runs(ts, ta)
+        runs[cav] = [(a, b) for a, b in zip(lo[open_].tolist(), hi[open_].tolist()) if b > a]
+    spans = []   # [lo, hi) runs covering every open piece, merged
+    for lo, hi in sorted(run for cav_runs in runs.values() for run in cav_runs):
+        if spans and lo <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], hi)
+        else:
+            spans.append([lo, hi])
+    # i's (p, v) over the spans, GRID_BLOCK grid points at a time
+    blocks = {at: traj.sample(ts[at:min(at + GRID_BLOCK, hi)])[:2]
+              for lo, hi in spans for at in range(lo, hi, GRID_BLOCK)}
+    firsts = sorted(blocks)
+    found = {}
+    for j in leads:
+        if not runs.get(j.cav):
+            continue
+        lead = j.traj.extended(until)
+        if any(_breached(cfg, ts, lead, blocks, firsts, lo, hi) for lo, hi in runs[j.cav]):
+            found[j.cav] = _worst_gap(cfg, ts, traj, lead)
+    return found
+
+
+def _breached(cfg: ScenarioConfig, ts, lead: PiecewiseTrajectory, blocks: dict, firsts: list,
+              lo: int, hi: int) -> bool:
+    """Whether a gap behind ``lead`` sampled on ``ts[lo:hi]`` lies below
+    -1e-6, from the follower's ``blocks`` of samples (by first index)."""
+    while lo < hi:
+        at = firsts[bisect.bisect_right(firsts, lo) - 1]
+        p, v = blocks[at]
+        end = min(hi, at + p.size)
+        gap = (lead.sample(ts[lo:end])[0] - p[lo - at:end - at] - cfg.phi * v[lo - at:end - at]
+               - cfg.delta0)
+        if gap.min() < -1e-6:
+            return True
+        lo = end
+    return False
 
 
 def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dict:
     """Rear-end violations of ``me`` behind each same-lane predecessor, by id."""
-    traj = me.traj
-    t0, tf = traj.t0, traj.tf
+    t0 = me.traj.t0
     found = {}
     for j in leads:
         if j.traj.t0 > t0:
             # a TIE_EPS tie queued j first: the pair keeps its own grid
-            ts = traj.dense_times(step, j.traj.t0)
-            found[j.cav] = _worst_gap(cfg, ts, _samples(cfg, traj, ts), tf, j.traj)
+            found.update(_breaches(cfg, me, [j], j.traj.t0, step))
     shared = [j for j in leads if j.traj.t0 <= t0]
     if shared:
-        ts = traj.dense_times(step, t0)
-        samples = _samples(cfg, traj, ts)
-        cleared = _cleared(shared, t0, tf, *_block_need(cfg, ts, samples))
-        for j in shared:
-            if j.cav not in cleared:
-                found[j.cav] = _worst_gap(cfg, ts, samples, tf, j.traj)
-    return {k: hit for k, hit in found.items() if hit is not None}
+        found.update(_breaches(cfg, me, shared, t0, step))
+    return found
 
 
 def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
@@ -250,22 +292,19 @@ def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
 
     Rear-end pairs with ``t0_j <= t0_i`` share the grid of the pair
     definition, since its lower end is ``t0_i``; anything else is a
-    ``TIE_EPS`` tie and keeps its own grid. The grid, i's samples and its
-    extrema are built once per CAV; i is sampled, and gaps are formed and
-    reduced, ``GRID_BLOCK`` times at a time. A pair is then skipped only when a
-    bound proves that no sampled gap can reach -1e-6. If j's speed is
-    nowhere negative (its minimum lies at an arc end or a v extremum, and
-    the exit speed holds afterwards), ``P_j`` is nondecreasing apart from
-    the junction jumps ``drop_j`` that trajectories tolerate. Cut i's grid
-    into ``_BLOCKS`` index blocks and let ``H_b`` be the largest
-    ``p_i + phi*v_i + delta0`` on block b. Then ``P_j(first time of b) -
-    drop_j >= H_b`` on every block puts every sampled gap at >= 0, up to
-    rounding some 1e-12 m, far inside the 1e-6 tolerance. A j that has
-    left by ``t0_i`` is affine over i's window, so one array expression
-    bounds all of them at once. A pair the bound does not clear runs the
-    sampled check itself on the shared grid and i's samples, so the
-    verdicts and the reported (t, margin) are the ones the all-pairs check
-    gives.
+    ``TIE_EPS`` tie and keeps its own grid. The grid is not sampled where
+    a closed-form bound decides: ``model.gap_bounds`` bounds the gap on
+    every piece of the window between the breakpoints of i and of j (j's
+    exit, where its hold begins, included), and a piece whose lower bound
+    is at least -1e-6 + GAP_MARGIN holds no sampled gap below -1e-6. The
+    bound needs no monotone ``P_j``. The arcs' terms are formed once per
+    CAV, and every j that has left by the window's start, affine in t over
+    all of it, is bounded against every piece of i in one array
+    expression. Only the pieces the bound leaves open are sampled, i once
+    on their union, ``GRID_BLOCK`` points at a time, and the leader there;
+    a sampled gap below -1e-6 sends the pair through the sampled check of
+    its whole grid. So the verdicts and the reported (t, margin) are the
+    ones the all-pairs check gives.
     """
     cfg = coord.cfg
     report = GuaranteeReport(ok=True)
@@ -291,7 +330,7 @@ def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
             if meets[other, zone] and exits[other] is not None:
                 rivals.append(exits[other])
         t_m = traj.position_root(cfg.L) if rivals else None
-        me = _Passed.of(entry)
+        me = _Passed.of(entry, cfg)
         lane = (arr.road, arr.lane)
         rear = _rear_end(cfg, me, lanes.get(lane, []), step)
         if (traj.tf < latest - 1e-9 or rear

@@ -390,11 +390,131 @@ class PiecewiseTrajectory:
         Models the vehicle holding its exit speed after leaving the merging
         zone, which followers' constraint checks rely on.
         """
+        arcs = self.held(until)
+        return self if arcs is self.arcs else PiecewiseTrajectory(arcs)
+
+    def held(self, until: float) -> tuple:
+        """The arcs of ``extended(until)``: these arcs, then, if ``until``
+        lies past tf, the cruise at the exit speed from tf to ``until``."""
         if until <= self.tf + _EDGE_TOL:
-            return self
-        tail = Arc.through(self.tf, until, self.eval(self.tf)[0], self.vf, 0.0, 0.0,
-                           kind="cruise")
-        return PiecewiseTrajectory(self.arcs + (tail,))
+            return self.arcs
+        return self.arcs + (Arc.through(self.tf, until, self.eval(self.tf)[0], self.vf,
+                                        0.0, 0.0, kind="cruise"),)
+
+
+# ---------------------------------------------------------------------------
+# closed-form bounds of the rear-end gap
+# ---------------------------------------------------------------------------
+#
+# On a stretch where the follower and its leader each stay on one arc, the
+# gap g = P_lead - p - phi*v - delta0 is C(t) + Q(t)*exp(-t/phi): C a cubic,
+# Q the leader's exponential amplitude Rp less the follower's Rp - phi*Rv.
+# Bounding C exactly and Q*exp(-t/phi) by Q's range times the exponential
+# at the two ends bounds g, without sampling, as the arithmetic of
+# ``sample`` gives it to within GAP_MARGIN.
+
+GAP_MARGIN = 1e-9   # m; over ten times the worst bound-versus-sample rounding seen
+
+
+def gap_terms(arcs, phi: float, headway: float = 0.0, standstill: float = 0.0):
+    """(C, Q, ok) of p + headway*v + standstill on each of ``arcs``.
+
+    Row k of C holds the cubic coefficients and row k of Q the amplitude of
+    exp(-t/phi), lowest order first; ``ok`` is False where an arc's time
+    constant is not ``phi`` or its amplitude is above cubic, pieces the
+    bound leaves open.
+    """
+    C = np.empty((len(arcs), 4))
+    Q = np.zeros((len(arcs), 4))
+    ok = np.ones(len(arcs), dtype=bool)
+    for k, arc in enumerate(arcs):
+        C[k] = (arc.d + headway * arc.c + standstill, arc.c + headway * arc.b,
+                0.5 * arc.b + headway * 0.5 * arc.a, arc.a / 6.0)
+        if arc.amp:
+            if arc.phi != phi or len(arc.amp) > 4:
+                ok[k] = False
+            else:
+                Q[k, :len(arc.amp)] = [rp - headway * rv for rp, rv in zip(arc._rp, arc._rv)]
+    return C, Q, ok
+
+
+def held_terms(traj: PiecewiseTrajectory, phi: float):
+    """(starts, (C, Q, ok)) of ``traj`` as a leader: ``gap_terms`` of its
+    position on each arc and on the exit-speed hold after them, and the
+    starts of those arcs after the first (tf, where the hold begins, last)."""
+    arcs = traj.held(math.inf)
+    return [arc.t_start for arc in arcs[1:]], gap_terms(arcs, phi)
+
+
+def gap_pieces(t_lo: float, t_hi: float, follow_starts, lead_starts):
+    """(ta, tb, follower arc, leader arc) lists, one entry per piece of
+    [t_lo, t_hi] on which ``sample`` evaluates one arc of each trajectory.
+
+    The starts are those of each trajectory's arcs after its first, sorted.
+    Pieces are cut at every start in (t_lo, t_hi]; as in ``sample``, a time
+    on a start belongs to the arc that starts there, so the piece from
+    ``ta`` covers the times in [ta, tb) (the last one [ta, t_hi]), and a
+    start at t_hi leaves a last piece [t_hi, t_hi].
+    """
+    cuts = sorted({t for t in (*follow_starts, *lead_starts) if t_lo < t <= t_hi})
+    ta = [t_lo, *cuts]
+    return (ta, [*cuts, t_hi], [bisect.bisect_right(follow_starts, t) for t in ta],
+            [bisect.bisect_right(lead_starts, t) for t in ta])
+
+
+def grid_runs(ts: np.ndarray, ta):
+    """(lo, hi): the runs ``ts[lo:hi]`` of the sorted grid ``ts`` (from t_lo
+    to t_hi) that fall in each piece starting at ``ta``."""
+    lo = np.searchsorted(ts, ta, side="left")
+    return lo, np.append(lo[1:], ts.size)
+
+
+def _cubic_range(c, ta, tb):
+    """Elementwise (min, max) of the cubics in the rows of ``c`` over
+    [ta, tb]: their values at both ends and at the roots of the quadratic
+    derivative inside, found by the arithmetic of ``newton.quadratic_roots``."""
+    c0, c1, c2, c3 = c.T
+    A, B = 3.0 * c3, 2.0 * c2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * c1), B))
+        t = np.array([ta, tb, np.where(A == 0.0, -c1 / B, q / A), c1 / q])
+    t[2:] = np.where((t[2:] > ta) & (t[2:] < tb), t[2:], ta)
+    values = ((c3 * t + c2) * t + c1) * t + c0
+    return values.min(axis=0), values.max(axis=0)
+
+
+def gap_range(C, Q, ok, ta, tb, phi: float):
+    """Elementwise (lower, upper) of C(t) + Q(t)*exp(-t/phi) over [ta, tb];
+    (-inf, inf) where ``ok`` is False."""
+    if phi > 0.0:
+        n = len(C)
+        lo, hi = _cubic_range(np.concatenate((C, Q)), np.concatenate((ta, ta)),
+                              np.concatenate((tb, tb)))
+        e = np.exp(np.array([ta, tb]) / -phi)
+        ends = np.concatenate((lo[n:] * e, hi[n:] * e))
+        lower, upper = lo[:n] + ends.min(axis=0), hi[:n] + ends.max(axis=0)
+    else:
+        lower, upper = _cubic_range(C, ta, tb)
+    open_ = ~ok | np.isnan(lower) | np.isnan(upper)
+    return np.where(open_, -np.inf, lower), np.where(open_, np.inf, upper)
+
+
+def gap_bounds(follower: PiecewiseTrajectory, leader: PiecewiseTrajectory, phi: float,
+               delta0: float, t_lo: float, t_hi: float):
+    """The rear-end gap of ``follower`` behind ``leader`` (held at its exit
+    speed once it has left) on the ``gap_pieces`` of [t_lo, t_hi].
+
+    Returns arrays (ta, tb, C, Q, ok, lower, upper): per piece, its window,
+    the gap's terms C(t) + Q(t)*exp(-t/phi) there and their bounds over the
+    window. Every gap ``sample`` gives at a time of the piece lies within
+    GAP_MARGIN of them.
+    """
+    starts, (CL, QL, okL) = held_terms(leader, phi)
+    CF, QF, okF = gap_terms(follower.arcs, phi, phi, delta0)
+    ta, tb, fi, li = (np.array(x) for x in
+                      gap_pieces(t_lo, t_hi, follower.breakpoints[1:-1], starts))
+    C, Q, ok = CL[li] - CF[fi], QL[li] - QF[fi], okL[li] & okF[fi]
+    return (ta, tb, C, Q, ok) + gap_range(C, Q, ok, ta, tb, phi)
 
 
 # ---------------------------------------------------------------------------

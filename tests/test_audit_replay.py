@@ -4,9 +4,12 @@ Every audit that ``run_simulation`` makes for the six fixtures, the 100 c7
 scenarios and the lane streams of ``bench/inputs.STREAM_POOL`` is replayed
 by ``audit_reference.audit_whole_grid`` with the same arguments: the same
 checks in the same order, the same verdicts, and worst values and times
-within 1e-12. Then the closed-form candidates on their own: a leaderless
-audit samples no grid, and the left arc's value at a junction, which no
-grid point sees, is checked.
+within 1e-12. The same runs gate the grid work: led audits sample at most a
+quarter of their rear-end grids, and the six lane streams stay under a
+committed count of sampled points. Then the closed-form candidates on their
+own: a leaderless audit samples no grid, the left arc's value at a junction,
+which no grid point sees, is checked, and a gap that is exactly constant is
+reported at its earliest grid time.
 """
 import os
 import sys
@@ -26,26 +29,48 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from bench import inputs  # noqa: E402
 
 TOL = 1e-12
+# points the six lane streams sample through PiecewiseTrajectory.sample in
+# run_simulation: 27.8M with every grid sampled, 2,822,536 with the closed-form
+# rear-end gap bounds
+LANE_SAMPLE_POINTS = 2_850_000
 
 
 @pytest.fixture(scope="module")
-def audits():
-    """(trajectory, config, keyword arguments, report) of every audit made."""
+def replay():
+    """(audits, lane points): (trajectory, config, keyword arguments, report,
+    points sampled) of every audit made, and the points the lane streams
+    sample in all."""
     scenarios = [fixture(name) for name in sorted(FIXTURES)]
     scenarios += [_random_scenario(seed) for seed in range(100)]
-    scenarios += [inputs.lane_stream(s) for s in inputs.STREAM_POOL]
-    calls = []
+    lanes = [inputs.lane_stream(s) for s in inputs.STREAM_POOL]
+    calls, sizes = [], []
+    sample = PiecewiseTrajectory.sample
+
+    def counted(self, ts):
+        sizes.append(np.size(ts))
+        return sample(self, ts)
 
     def recorded(traj, cfg, **kwargs):
+        before = sum(sizes)
         rep = audit(traj, cfg, **kwargs)
-        calls.append((traj, cfg, kwargs, rep))
+        calls.append((traj, cfg, kwargs, rep, sum(sizes) - before))
         return rep
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "audit", recorded)
+        mp.setattr(PiecewiseTrajectory, "sample", counted)
         for raw in scenarios:
             sim.run_simulation(sim.load_scenario(raw))
-    return calls
+        sizes.clear()
+        for raw in lanes:
+            sim.run_simulation(sim.load_scenario(raw))
+        return calls, sum(sizes)
+
+
+@pytest.fixture(scope="module")
+def audits(replay):
+    """(trajectory, config, keyword arguments, report) of every audit made."""
+    return [call[:4] for call in replay[0]]
 
 
 def test_audit_matches_the_whole_grid_reference(audits):
@@ -60,6 +85,21 @@ def test_audit_matches_the_whole_grid_reference(audits):
         led += kwargs["leader"] is not None
         tracked += any(arc.kind == "track" for arc in traj.arcs)
     assert len(audits) > 600 and led > 200 and tracked > 20
+
+
+def test_led_audits_sample_a_quarter_of_their_grids(replay):
+    # the rear-end search samples i and its leader on the same runs
+    evaluated = grid = 0
+    for traj, _, kwargs, _, points in replay[0]:
+        if kwargs["leader"] is not None:
+            ts = traj.dense_times(kwargs.get("step", 1e-3))
+            grid += ts.size - int(np.searchsorted(ts, kwargs["leader"].t0))
+            evaluated += points // 2
+    assert 0 < evaluated <= 0.25 * grid
+
+
+def test_lane_streams_sample_under_the_committed_count(replay):
+    assert 0 < replay[1] <= LANE_SAMPLE_POINTS
 
 
 @pytest.fixture
@@ -101,3 +141,25 @@ def test_a_junction_above_the_control_cap_fails():
     assert not upper.ok
     assert upper.worst == pytest.approx(1e-6, rel=1e-6) and upper.t_worst == 5.0
     assert np.isclose(audit_whole_grid(traj, cfg, terminal_mode="fixed").checks[0].worst, 0.0)
+
+
+@pytest.mark.parametrize("phi, delta0, speed, lead_d", [(0.0, 0.0, 10.0, 0.0),
+                                                      (1.0, 2.0, 0.0, 6.0)])
+def test_a_constant_gap_is_reported_at_its_earliest_time(phi, delta0, speed, lead_d):
+    # both cruise at one speed and every sampled gap is the same float: at
+    # zero headway the leader's position is the follower's, at a standstill
+    # both positions are constants
+    cfg = ScenarioConfig(phi=phi, delta0=delta0, v_max=30.0)
+    lead = PiecewiseTrajectory((Arc(1.0, 41.0, 0.0, 0.0, speed, lead_d, kind="cruise"),))
+    traj = PiecewiseTrajectory((Arc(0.0, 40.0, 0.0, 0.0, speed, 0.0, kind="cruise"),))
+    ts = traj.dense_times(1e-3)
+    ts = ts[np.searchsorted(ts, lead.t0):]
+    p, v, _ = traj.sample(ts)
+    lag = p + cfg.phi * v + cfg.delta0 - lead.sample(ts)[0]
+    assert np.all(lag == lag[0])
+    got = audit(traj, cfg, leader=lead, terminal_mode="fixed").checks
+    want = audit_whole_grid(traj, cfg, leader=lead, terminal_mode="fixed").checks
+    gap = next(c for c in got if c.name == "rear-end gap")
+    assert (gap.worst, gap.t_worst) == (lag[0], ts[0])
+    assert [(c.name, c.worst, c.t_worst) for c in got] == [
+        (c.name, c.worst, c.t_worst) for c in want]

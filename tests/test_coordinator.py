@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cavcross.coordinator import (_BLOCKS, TIE_EPS, Coordinator, _block_need, _samples,
-                                  check_guarantees)
+from cavcross.coordinator import TIE_EPS, Coordinator, check_guarantees
 from cavcross.model import (Arc, ConfigError, PiecewiseTrajectory,
                             ScenarioConfig, VehicleArrival)
 from cavcross.solver import plan, solve_p1_fixed
@@ -197,16 +196,16 @@ def test_guarantees_match_reference_past_a_crawl_exit():
 
 def test_guarantees_match_reference_behind_negative_speed(sampled):
     # the leader's forced profile backs up near t = 8, so its position is
-    # not monotone and no bound may skip the pair, violated or not
+    # not monotone: the gap bound, which needs no monotone position, must
+    # still find the violation, and clear the safe pair without sampling
     lead = _cubic(0.0, 2.0, 40.0, 40.0)
     assert lead.sample(np.linspace(0.0, 40.0, 401))[1].min() < 0.0
     rep = _checked(_lane_queue([(0.0, 2.0, 40.0, 40.0), (6.0, 10.0, 48.0, 10.0)]))
     assert [v[0] for v in rep.violations] == ["rear_end"]
     co = _lane_queue([(0.0, 2.0, 40.0, 40.0), (35.0, 10.0, 75.0, 10.0)])
-    grid = co.entries[1].trajectory.dense_times(1e-3, 35.0).size
     sampled.clear()
     assert check_guarantees(co).ok
-    assert sum(sampled) == 2 * grid    # the follower's grid, then the pair's gap
+    assert sum(sampled) == 0
     assert _checked(co).ok
 
 
@@ -224,27 +223,14 @@ def test_guarantees_match_reference_on_a_tie():
 
 def test_guarantee_work_is_linear_in_queue_length(sampled):
     # 300 cruises 2 s apart: the all-pairs check would sample 44,850 pairs
-    # over their full grids; here each CAV's grid is sampled once, and the
-    # predecessors still in the zone only at its 64 block starts
+    # over their full grids; here the closed-form gap bound clears every
+    # pair, the exited predecessors of a CAV in one array expression, and
+    # nothing is sampled
     n = 300
     co = Coordinator(CFG)
     for i in range(n):
         co.attach(co.enqueue(_arr(i + 1, 2.0 * i)), _cruise(2.0 * i, 2.0 * i + 40.0))
-    grid = co.entries[0].trajectory.dense_times(1e-3).size
     sampled.clear()
     rep = check_guarantees(co)
     assert rep.ok
-    assert sum(sampled) <= 2 * n * grid
-
-
-@pytest.mark.parametrize("tf", [3.0, 40.0, 263.0])
-def test_block_bound_over_slices_matches_the_whole_grid(tf):
-    # block sizes of 47, 626 and 4110 points: slices cut blocks anywhere,
-    # or, past 4096, a block spans slices
-    traj = _cubic(0.0, 10.0, tf, 400.0 / tf)
-    ts = traj.dense_times(1e-3, 0.0)
-    p, v, _ = traj.sample(ts)
-    starts = np.arange(0, ts.size, -(-ts.size // _BLOCKS))
-    t_b, need = _block_need(CFG, ts, _samples(CFG, traj, ts))
-    assert np.array_equal(t_b, ts[starts])
-    assert np.array_equal(need, np.maximum.reduceat(p + CFG.phi * v + CFG.delta0, starts))
+    assert sum(sampled) == 0
