@@ -1,10 +1,12 @@
 """The solver's root finders.
 
 * ``bracket_roots`` -- every root of a scalar function on a grid: one scan
-  for sign changes, each bracket refined by Chandrupatla's hybrid of inverse
-  quadratic interpolation and bisection (Chandrupatla 1997; the same family
-  as Brent 1973). The free horizon, the gap-ride entry and exit, the
-  position-cap dwell, arc extrema and position crossings go through it.
+  for zeros and sign changes, as arrays when the grid values come from one
+  vectorized evaluation, each bracket refined by Chandrupatla's hybrid of
+  inverse quadratic interpolation and bisection (Chandrupatla 1997; the
+  same family as Brent 1973). The free horizon, the gap-ride entry and
+  exit, the position-cap dwell, arc extrema and position crossings go
+  through it.
 * ``quadratic_roots`` and ``smallest_positive_root`` -- the closed-form
   roots of a quadratic, the second elementwise over arrays, for the
   gap-ride departure scan.
@@ -117,18 +119,31 @@ def bracket_roots(fn, grid, values=None) -> list:
     a neighbouring pair of opposite signs brackets one, which is refined
     until the bracket is a few ulps wide. A pair touching a NaN is skipped,
     so callers mark points where ``fn`` is undefined with NaN, and a bracket
-    whose interior evaluates to NaN gives no root.
+    whose interior evaluates to NaN gives no root. Given ``values``, the
+    zeros and sign changes are found as arrays, over the whole grid at once;
+    otherwise point by point, beside the evaluations of ``fn``.
     """
-    xs = [float(x) for x in grid]
-    fs = [float(fn(x)) for x in xs] if values is None else [float(f) for f in values]
+    if values is None:
+        xs = [float(x) for x in grid]
+        fs = [float(fn(x)) for x in xs]
+        hits = [i for i, f in enumerate(fs)
+                if f == 0.0 or (i + 1 < len(fs) and f * fs[i + 1] < 0.0)]
+    else:
+        xs = np.asarray(grid, dtype=float)
+        fs = np.asarray(values, dtype=float)
+        at = fs == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            at[:-1] |= fs[:-1] * fs[1:] < 0.0
+        hits = np.flatnonzero(at).tolist()
     roots = []
-    for i, (x0, f0) in enumerate(zip(xs, fs)):
+    for i in hits:
+        x0, f0 = float(xs[i]), float(fs[i])
         if f0 == 0.0:
             roots.append(x0)
-        elif i + 1 < len(xs) and f0 * fs[i + 1] < 0.0:
-            root = _chandrupatla(fn, x0, xs[i + 1], f0, fs[i + 1])
-            if root is not None:
-                roots.append(root)
+            continue
+        root = _chandrupatla(fn, x0, float(xs[i + 1]), f0, float(fs[i + 1]))
+        if root is not None:
+            roots.append(root)
     return roots
 
 

@@ -16,9 +16,12 @@ out.
 (piecewise-constant control, exact dynamics, the gap at the grid points,
 the hold at the grid point nearest tm, the terminal position) and solves
 the result, a convex QP, to its exact optimum with a Mehrotra
-predictor-corrector interior-point method. Each Newton step is one
-block-tridiagonal solve by block cyclic reduction (``BlockTridiagonal``),
-O(n) in the number of steps, as in Rao, Wright and Rawlings (1998). With
+predictor-corrector interior-point method. Each iteration factors its
+block-tridiagonal Newton matrix once by block cyclic reduction
+(``BlockTridiagonal``), O(n) in the number of steps, as in Rao, Wright and
+Rawlings (1998), down to a top of at most ``TOP_BLOCKS`` blocks inverted
+densely. It then solves three times: the predictor once, the corrector
+once and again for one step of iterative refinement. With
 the horizon free it scans and golden-sections the horizon over such solves,
 solving only the horizons whose cost can change a decision: a horizon's
 cost is at least its travel-time term gamma*T, and a horizon too short to
@@ -307,21 +310,28 @@ def _rollout(u, t0, v0, dt):
     return p, v
 
 
+# each cofactor of a 3x3 matrix, row by row of the adjugate, is one product
+# of two of its flat entries (a b c / d e f / g k i = 0..8) less another:
+# the first factors of the nine positive products, then of the nine
+# negative ones, over the second factors of the same
+_COFACTORS = np.array([[4, 2, 1, 5, 0, 2, 3, 1, 0, 5, 1, 2, 3, 2, 0, 4, 0, 1],
+                       [8, 7, 5, 6, 8, 3, 7, 6, 4, 7, 8, 4, 8, 6, 5, 6, 7, 3]])
+TOP_BLOCKS = 8   # cyclic reduction stops at this many blocks, inverted densely
+
+
 def _inv3(M):
-    """Inverses of the 3x3 matrices M[:, :, k], from their adjugates."""
-    (a, b, c), (d, e, f), (g, k, i) = M
-    out = np.empty_like(M)
-    out[0, 0] = e * i - f * k
-    out[1, 0] = f * g - d * i
-    out[2, 0] = d * k - e * g
-    out[0, 1] = c * k - b * i
-    out[1, 1] = a * i - c * g
-    out[2, 1] = b * g - a * k
-    out[0, 2] = b * f - c * e
-    out[1, 2] = c * d - a * f
-    out[2, 2] = a * e - b * d
-    out /= a * out[0, 0] + b * out[1, 0] + c * out[2, 0]
-    return out
+    """Inverses of the 3x3 matrices M[:, :, k], from their adjugates.
+
+    The eighteen products of the nine cofactors come from one gather of the
+    flat entries; the determinant is the expansion along the first column.
+    """
+    flat = M.reshape(9, -1)
+    first, second = flat[_COFACTORS]
+    adj = first * second
+    adj = np.subtract(adj[:9], adj[9:], out=adj[:9])
+    column = flat[:3] * adj[0::3]
+    adj /= column[0] + column[1] + column[2]
+    return adj.reshape(M.shape)
 
 
 def _mv(A, x):
@@ -341,53 +351,62 @@ class BlockTridiagonal:
     block index last, ``D[:, :, k]`` and ``r[:, k]``, so each of the nine
     entries is one contiguous array; ``L[:, :, 0]`` has no effect. Block
     cyclic reduction: each level eliminates the even-numbered blocks and
-    leaves a system of the same form on the odd ones, half the size, so the
-    factor is O(n) batched 3x3 work over log2(n) levels and keeps, per
-    level, only the inverses of the eliminated blocks and the coupling
-    blocks. Pivots are whole diagonal blocks, so the system needs no
-    definiteness, only nonsingular pivot blocks at every level.
+    leaves a system of the same form on the odd ones, half the size, until
+    at most ``TOP_BLOCKS`` blocks remain; that top system is inverted as one
+    dense matrix of at most 24x24. The factor is O(n) batched 3x3 work and
+    keeps, per level, the inverses of the eliminated blocks, the coupling
+    blocks and the two products with the inverses that the reduction forms,
+    so each solve's forward sweep is two batched products a level. Pivots
+    are whole diagonal blocks, so the system needs no definiteness, only
+    nonsingular pivot blocks at every level and a nonsingular top.
     """
 
     def __init__(self, L, D):
         self.levels = []
-        while D.shape[2] > 1:
+        while D.shape[2] > TOP_BLOCKS:
             inv = _inv3(D[:, :, 0::2])
             keep, cross = D.shape[2] // 2, (D.shape[2] - 1) // 2
             # odd block j couples to even block j by L[2j+1] and, for
             # j < cross, to even block j+1 by L[2j+2]^T; eliminating both
-            # gives the next level (products written in place: the first
-            # level is the size of the whole horizon)
+            # gives the next level
             left, right = L[:, :, 1::2], L[:, :, 2::2]
-            m = np.einsum("ijk,jlk->ilk", left, inv[:, :, :keep])
-            d_next = np.einsum("ijk,ljk->ilk", m, left)
+            left_inv = np.einsum("ijk,jlk->ilk", left, inv[:, :, :keep])
+            right_inv = np.einsum("jik,jlk->ilk", right, inv[:, :, 1:])
+            d_next = np.einsum("ijk,ljk->ilk", left_inv, left)
             np.subtract(D[:, :, 1::2], d_next, out=d_next)
-            l_next = np.einsum("ijk,jlk->ilk", m, L[:, :, 0:2 * keep:2])
+            d_next[:, :, :cross] -= np.einsum("ijk,jlk->ilk", right_inv, right)
+            l_next = np.einsum("ijk,jlk->ilk", left_inv, L[:, :, 0:2 * keep:2])
             l_next *= -1.0
-            m = np.einsum("jik,jlk->ilk", right, inv[:, :, 1:], out=m[:, :, :cross])
-            d_next[:, :, :cross] -= np.einsum("ijk,jlk->ilk", m, right)
-            self.levels.append((inv, L))
+            self.levels.append((inv, L, left_inv, right_inv))
             L, D = l_next, d_next
-        self.top = _inv3(D)
+        # the top system as one dense matrix, block row k at rows 3k..3k+2
+        n = D.shape[2]
+        dense = np.zeros((n, 3, n, 3))
+        k = np.arange(n)
+        dense[k, :, k, :] = D.transpose(2, 0, 1)
+        dense[k[1:], :, k[:-1], :] = L[:, :, 1:].transpose(2, 0, 1)
+        dense[k[:-1], :, k[1:], :] = L[:, :, 1:].transpose(2, 1, 0)
+        self.top = np.linalg.inv(dense.reshape(3 * n, 3 * n))
 
     def solve(self, r):
-        ws = []
-        for inv, L in self.levels:
-            w = _mv(inv, r[:, 0::2])
-            ws.append(w)
-            r = r[:, 1::2] - _mv(L[:, :, 1::2], w[:, :r.shape[1] // 2])
-            r[:, :w.shape[1] - 1] -= _mtv(L[:, :, 2::2], w[:, 1:])
+        evens = []
+        for _, _, left_inv, right_inv in self.levels:
+            even = r[:, 0::2]
+            evens.append(even)
+            r = r[:, 1::2] - _mv(left_inv, even[:, :left_inv.shape[2]])
+            r[:, :right_inv.shape[2]] -= _mv(right_inv, even[:, 1:])
         # level l's blocks sit at x[:, 2^l - 1::2^l], its odd ones at the next level's
-        x = np.empty((3, sum(w.shape[1] for w in ws) + 1))
-        stride = 1 << len(ws)
-        x[:, stride - 1::stride] = _mv(self.top, r)
-        for (inv, L), w in zip(reversed(self.levels), reversed(ws)):
+        x = np.empty((3, sum(even.shape[1] for even in evens) + r.shape[1]))
+        stride = 1 << len(evens)
+        x[:, stride - 1::stride] = (self.top @ r.T.ravel()).reshape(-1, 3).T
+        for (inv, L, left_inv, right_inv), even in zip(reversed(self.levels), reversed(evens)):
             stride //= 2
             blocks = x[:, stride - 1::stride]
             odd = blocks[:, 1::2]
-            c = np.zeros_like(w)
-            c[:, 1:] = _mv(L[:, :, 2::2], odd[:, :w.shape[1] - 1])
-            c[:, :odd.shape[1]] += _mtv(L[:, :, 1::2], odd)
-            blocks[:, 0::2] = w - _mv(inv, c)
+            t = even.copy()
+            t[:, :odd.shape[1]] -= _mtv(L[:, :, 1::2], odd)
+            t[:, 1:] -= _mv(L[:, :, 2::2], odd[:, :right_inv.shape[2]])
+            blocks[:, 0::2] = _mv(inv, t)
         return x
 
 
@@ -414,10 +433,11 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
     Mehrotra predictor-corrector steps; each Newton system, ordered by stage
     as (multiplier_k, p_k, v_k), is symmetric block tridiagonal and is
     factored once per iteration by cyclic reduction for both the predictor
-    and the corrector, each solve followed by one step of iterative
-    refinement. Work and memory are O(n); the memory is kept to a few dozen
-    arrays of length n, since the free-horizon scan reaches n of several
-    thousand.
+    and the corrector. The predictor only sets the corrector's centring, so
+    it is solved once; the corrector, the step taken, gets one step of
+    iterative refinement: three solves an iteration. Work and memory are
+    O(n); the memory is kept to a few dozen arrays of length n, since the
+    free-horizon scan reaches n of several thousand.
 
     Returns (v_1..v_n, total elastic slack, iterations).
     """
@@ -530,19 +550,20 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         x += fac.solve(rhs)
         return x
 
-    def direction(fac, c_s, c_e):
+    def direction(fac, c_s, c_e, refine):
         """Newton step for complementarity targets c_s, c_e, and its longest step.
 
         The row multipliers and slacks are eliminated into the stage blocks;
-        the solve of the reduced system gets one step of iterative
-        refinement. ``c_s`` is overwritten.
+        with ``refine``, the solve of the reduced system gets one step of
+        iterative refinement. ``c_s`` is overwritten.
         """
         el_shift = (c_e - e * r_e) / w
         t = c_s
         t /= z
         t += r_row
         t[el] -= el_shift
-        x = solve_refined(fac, newton_rhs(t))
+        rhs = newton_rhs(t)
+        x = solve_refined(fac, rhs) if refine else fac.solve(rhs)
         dz = row_values(x[1], x[2], 0.0, False)
         dz += t
         dz *= iq
@@ -563,7 +584,7 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
 
     def corrector_targets(fac):
         """Mehrotra's targets: the predictor's complementarity, centred."""
-        _, ds, de, dz, dw, step = direction(fac, -s * z, -e * w)
+        _, ds, de, dz, dw, step = direction(fac, -s * z, -e * w, refine=False)
         a = min(1.0, step)
         gap = float(s @ z + e @ w)
         gap_aff = gap + sum(a * (q @ dr + dq @ r) + a * a * (dq @ dr)
@@ -624,7 +645,7 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         iq = z / s
         iq[el] = 1.0 / (s[el] / z[el] + e / w)
         fac = newton_factor()
-        x, ds, de, dz, dw, step = direction(fac, *corrector_targets(fac))
+        x, ds, de, dz, dw, step = direction(fac, *corrector_targets(fac), refine=True)
         fac = None   # the next factor is built with this one released
         a = min(1.0, TO_BOUNDARY * step)
         for var, dvar in ((y, x[0]), (p, x[1]), (v, x[2]), (s, ds), (e, de), (z, dz), (w, dw)):

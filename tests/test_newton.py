@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavcross.newton import bracket_roots, solve_system
+from bracket_reference import bracket_roots as reference_bracket_roots
 
 
 def test_scalar_root():
@@ -129,3 +130,31 @@ def test_bracket_roots_returns_python_floats():
     (r,) = bracket_roots(lambda x: (x - 0.3) ** 3, [-2.0, 3.0])
     assert type(r) is float
     assert abs(r - 0.3) <= 1e-15
+
+
+def _replay_grid(rng, size):
+    """A random grid and values on it: sign changes, exact zeros, NaN holes
+    and products of neighbours that overflow or underflow."""
+    grid = np.sort(rng.uniform(-5.0, 5.0, size))
+    a, b = rng.uniform(0.5, 6.0), rng.uniform(-3.0, 3.0)
+    values = np.sin(a * grid + b) * 10.0 ** rng.uniform(-200.0, 200.0, size)
+    values[rng.random(size) < 0.05] = 0.0
+    values[rng.random(size) < 0.05] = math.nan
+    return grid, values, lambda x: math.sin(a * x + b)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bracket_roots_replays_the_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    grid, values, fn = _replay_grid(rng, int(rng.integers(0, 300)))
+    on_grid = dict(zip(grid.tolist(), values.tolist()))
+
+    def gridded(x):
+        # the drawn values at the grid points, NaN holes and zeros included
+        return on_grid.get(x, fn(x))
+
+    for args in ((fn, grid, values), (gridded, grid), (gridded, list(grid)),
+                 (fn, tuple(grid), list(values))):
+        roots = bracket_roots(*args)
+        ref = reference_bracket_roots(*args)
+        assert [(type(r), r) for r in roots] == [(type(r), r) for r in ref]

@@ -11,6 +11,7 @@ from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig, VehicleArri
 from cavcross.solver import plan, solve_p0_free, solve_p1_fixed, solve_safety
 from cavcross.verifier import BlockTridiagonal, OracleResult, audit, transcription_oracle
 from oracle_eval import oracle_eval_control
+from oracle_qp_reference import _inv3 as reference_inv3
 from oracle_search_reference import free_horizon_oracle
 
 CFG = ScenarioConfig(v_max=20.0)
@@ -283,7 +284,9 @@ def test_horizons_called_unreachable_come_back_infeasible(cfg):
 # the oracle's Newton solve and its optimum, against dense references
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("blocks", [1, 2, 3, 8, 1001])
+# up to TOP_BLOCKS blocks the system is inverted densely; past it, one or
+# more levels of cyclic reduction come first
+@pytest.mark.parametrize("blocks", [1, 2, 3, 8, 9, 16, 17, 33, 1001])
 def test_block_tridiagonal_solve_matches_dense(blocks):
     rng = np.random.default_rng(blocks)
     L, D = (rng.normal(size=(3, 3, blocks)) for _ in range(2))
@@ -300,6 +303,38 @@ def test_block_tridiagonal_solve_matches_dense(blocks):
     x = BlockTridiagonal(L, D).solve(r)
     ref = np.linalg.solve(dense, r.T.ravel()).reshape(blocks, 3).T
     assert np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 7, 1000])
+def test_inv3_matches_the_adjugate_bit_for_bit(blocks):
+    rng = np.random.default_rng(blocks)
+    M = rng.normal(size=(3, 3, 2 * blocks)) * 10.0 ** rng.uniform(-3.0, 3.0, 2 * blocks)
+    # contiguous and strided, as the factor passes its even blocks
+    for A in (M, M[:, :, 0::2], M[:, :, 1::2]):
+        inv = verifier._inv3(A)
+        assert inv.shape == A.shape
+        assert np.array_equal(inv, reference_inv3(A))
+
+
+def test_oracle_newton_work_is_one_factor_and_three_solves_an_iteration(monkeypatch):
+    counts = {"factor": 0, "solve": 0}
+    factor, solve = BlockTridiagonal.__init__, BlockTridiagonal.solve
+
+    def counted_factor(self, *args):
+        counts["factor"] += 1
+        factor(self, *args)
+
+    def counted_solve(self, *args):
+        counts["solve"] += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(BlockTridiagonal, "__init__", counted_factor)
+    monkeypatch.setattr(BlockTridiagonal, "solve", counted_solve)
+    lead = solve_p1_fixed(0.0, 10.0, 39.0, CFG)[1]
+    res = transcription_oracle(2.0, 12.0, CFG, tf=41.0, dt=0.05, leader=lead, iters=1500)
+    assert res.feasible and res.iterations > 5
+    # the predictor is solved once, the corrector once and refined once
+    assert counts == {"factor": res.iterations, "solve": 3 * res.iterations}
 
 
 def _slsqp_transcription(t0, v0, cfg, tf, n, leader=None, lateral_tm=None):
