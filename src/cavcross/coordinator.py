@@ -12,16 +12,16 @@ lane. The newest member of each coupled group is what the solver needs:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (GAP_MARGIN, GRID_BLOCK, ConfigError, PiecewiseTrajectory,
                     ScenarioConfig, VehicleArrival, gap_pieces, gap_range, gap_terms,
-                    grid_runs, held_terms)
+                    held_terms, worst_lag)
 
 TIE_EPS = 1e-9
+LAG_FLOOR = 1e-6 - GAP_MARGIN   # a lag below it holds no sampled gap below -1e-6
 
 
 @dataclass
@@ -157,10 +157,10 @@ def _worst_gap(cfg: ScenarioConfig, ts, traj: PiecewiseTrajectory, lead: Piecewi
     return None
 
 
-def _open_pieces(cfg: ScenarioConfig, me: _Passed, leads: list, t_lo: float) -> dict:
-    """Per predecessor in ``leads`` whose closed-form gap bound does not
-    reach -1e-6 + GAP_MARGIN on every ``gap_pieces`` window of [t_lo, tf_i]:
-    (starts of its windows, which of them are open)."""
+def _open_pieces(cfg: ScenarioConfig, me: _Passed, leads: list, t_lo: float) -> set:
+    """Ids of the predecessors in ``leads`` whose closed-form gap bound does
+    not reach -1e-6 + GAP_MARGIN on every ``gap_pieces`` window of
+    [t_lo, tf_i]."""
     CF, QF, okF = me.own
     f_starts, t_hi = me.starts[:-1], me.traj.tf
     blocks = []   # (ta, tb, C, Q, ok) of the rows of some predecessors
@@ -189,82 +189,43 @@ def _open_pieces(cfg: ScenarioConfig, me: _Passed, leads: list, t_lo: float) -> 
         CL, QL, okL = (np.concatenate(col) for col in zip(*(j.held for j in zone)))
         blocks.append((ta, tb, CL[li] - CF[fi], QL[li] - QF[fi], okL[li] & okF[fi]))
     if not owners:
-        return {}
+        return set()
     ta, tb = (sum(col, []) for col in list(zip(*blocks))[:2])
     C, Q, ok = (np.concatenate(col) for col in list(zip(*blocks))[2:])
     open_ = gap_range(C, Q, ok, np.array(ta), np.array(tb), cfg.phi)[0] < -1e-6 + GAP_MARGIN
-    out, at = {}, 0
+    out, at = set(), 0
     for j, n in owners:
         if open_[at:at + n].any():
-            out[j.cav] = (ta[at:at + n], open_[at:at + n])
+            out.add(j.cav)
         at += n
     return out
 
 
-def _breaches(cfg: ScenarioConfig, me: _Passed, leads: list, t_lo: float, step: float) -> dict:
-    """Rear-end violations of ``me`` behind ``leads`` on its grid from
-    ``t_lo``, by id.
-
-    Only the pieces the bound leaves open are sampled: i once, on their
-    union, then each such predecessor there. A sampled gap below -1e-6
-    sends the pair through ``_worst_gap`` over the whole grid.
-    """
-    opened = _open_pieces(cfg, me, leads, t_lo)
-    if not opened:
-        return {}
-    traj, until = me.traj, me.traj.tf + 1e-9
-    ts = traj.dense_times(step, t_lo)
-    runs = {}
-    for cav, (ta, open_) in opened.items():
-        lo, hi = grid_runs(ts, ta)
-        runs[cav] = [(a, b) for a, b in zip(lo[open_].tolist(), hi[open_].tolist()) if b > a]
-    spans = []   # [lo, hi) runs covering every open piece, merged
-    for lo, hi in sorted(run for cav_runs in runs.values() for run in cav_runs):
-        if spans and lo <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], hi)
-        else:
-            spans.append([lo, hi])
-    # i's (p, v) over the spans, GRID_BLOCK grid points at a time
-    blocks = {at: traj.sample(ts[at:min(at + GRID_BLOCK, hi)])[:2]
-              for lo, hi in spans for at in range(lo, hi, GRID_BLOCK)}
-    firsts = sorted(blocks)
-    found = {}
-    for j in leads:
-        if not runs.get(j.cav):
-            continue
-        lead = j.traj.extended(until)
-        if any(_breached(cfg, ts, lead, blocks, firsts, lo, hi) for lo, hi in runs[j.cav]):
-            found[j.cav] = _worst_gap(cfg, ts, traj, lead)
-    return found
-
-
-def _breached(cfg: ScenarioConfig, ts, lead: PiecewiseTrajectory, blocks: dict, firsts: list,
-              lo: int, hi: int) -> bool:
-    """Whether a gap behind ``lead`` sampled on ``ts[lo:hi]`` lies below
-    -1e-6, from the follower's ``blocks`` of samples (by first index)."""
-    while lo < hi:
-        at = firsts[bisect.bisect_right(firsts, lo) - 1]
-        p, v = blocks[at]
-        end = min(hi, at + p.size)
-        gap = (lead.sample(ts[lo:end])[0] - p[lo - at:end - at] - cfg.phi * v[lo - at:end - at]
-               - cfg.delta0)
-        if gap.min() < -1e-6:
-            return True
-        lo = end
-    return False
-
-
 def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dict:
-    """Rear-end violations of ``me`` behind each same-lane predecessor, by id."""
-    t0 = me.traj.t0
+    """Rear-end violations of ``me`` behind each same-lane predecessor, by
+    id: the (t, gap) of ``_worst_gap``.
+
+    Predecessors that entered no later than i share i's grid from t0_i; one
+    that a TIE_EPS tie queued first though it entered after i keeps its own
+    grid from t0_j. Each predecessor ``_open_pieces`` leaves open is searched
+    by ``worst_lag`` down to LAG_FLOOR, and only one whose lag reaches it
+    goes through ``_worst_gap``.
+    """
+    traj, t0 = me.traj, me.traj.t0
+    groups = [([j], j.traj.t0) for j in leads if j.traj.t0 > t0]
+    groups.append(([j for j in leads if j.traj.t0 <= t0], t0))
     found = {}
-    for j in leads:
-        if j.traj.t0 > t0:
-            # a TIE_EPS tie queued j first: the pair keeps its own grid
-            found.update(_breaches(cfg, me, [j], j.traj.t0, step))
-    shared = [j for j in leads if j.traj.t0 <= t0]
-    if shared:
-        found.update(_breaches(cfg, me, shared, t0, step))
+    for group, t_lo in groups:
+        opened = _open_pieces(cfg, me, group, t_lo)
+        if not opened:
+            continue
+        ts = traj.dense_times(step, t_lo)
+        for j in group:
+            if (j.cav in opened and worst_lag(traj, j.traj, cfg.phi, cfg.delta0, ts,
+                                              LAG_FLOOR)[0] >= LAG_FLOOR):
+                worst = _worst_gap(cfg, ts, traj, j.traj.extended(traj.tf + 1e-9))
+                if worst is not None:
+                    found[j.cav] = worst
     return found
 
 
@@ -300,11 +261,12 @@ def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
     bound needs no monotone ``P_j``. The arcs' terms are formed once per
     CAV, and every j that has left by the window's start, affine in t over
     all of it, is bounded against every piece of i in one array
-    expression. Only the pieces the bound leaves open are sampled, i once
-    on their union, ``GRID_BLOCK`` points at a time, and the leader there;
-    a sampled gap below -1e-6 sends the pair through the sampled check of
-    its whole grid. So the verdicts and the reported (t, margin) are the
-    ones the all-pairs check gives.
+    expression. A pair the bound leaves open is searched by
+    ``model.worst_lag``, the audit's branch and bound, with the floor
+    ``LAG_FLOOR`` = 1e-6 - GAP_MARGIN: it samples only runs whose bound
+    can reach the floor, and a pair whose grid maximum of the lag reaches
+    it goes through the sampled check of its whole grid. So the verdicts
+    and the reported (t, margin) are the ones the all-pairs check gives.
     """
     cfg = coord.cfg
     report = GuaranteeReport(ok=True)

@@ -19,6 +19,7 @@ energy 0.5*u^2 in closed form.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -411,9 +412,12 @@ class PiecewiseTrajectory:
 # Q the leader's exponential amplitude Rp less the follower's Rp - phi*Rv.
 # Bounding C exactly and Q*exp(-t/phi) by Q's range times the exponential
 # at the two ends bounds g, without sampling, as the arithmetic of
-# ``sample`` gives it to within GAP_MARGIN.
+# ``sample`` gives it to within GAP_MARGIN. ``worst_lag`` searches the 1 ms
+# grid by branch and bound over these bounds; it is the one grid search of
+# both rear-end judges, the audit and the fleet check.
 
 GAP_MARGIN = 1e-9   # m; over ten times the worst bound-versus-sample rounding seen
+LAG_RUN = 256       # grid points ``worst_lag`` samples instead of splitting
 
 
 def gap_terms(arcs, phi: float, headway: float = 0.0, standstill: float = 0.0):
@@ -462,13 +466,6 @@ def gap_pieces(t_lo: float, t_hi: float, follow_starts, lead_starts):
             [bisect.bisect_right(lead_starts, t) for t in ta])
 
 
-def grid_runs(ts: np.ndarray, ta):
-    """(lo, hi): the runs ``ts[lo:hi]`` of the sorted grid ``ts`` (from t_lo
-    to t_hi) that fall in each piece starting at ``ta``."""
-    lo = np.searchsorted(ts, ta, side="left")
-    return lo, np.append(lo[1:], ts.size)
-
-
 def _cubic_range(c, ta, tb):
     """Elementwise (min, max) of the cubics in the rows of ``c`` over
     [ta, tb]: their values at both ends and at the roots of the quadratic
@@ -515,6 +512,62 @@ def gap_bounds(follower: PiecewiseTrajectory, leader: PiecewiseTrajectory, phi: 
                       gap_pieces(t_lo, t_hi, follower.breakpoints[1:-1], starts))
     C, Q, ok = CL[li] - CF[fi], QL[li] - QF[fi], okL[li] & okF[fi]
     return (ta, tb, C, Q, ok) + gap_range(C, Q, ok, ta, tb, phi)
+
+
+def _halving_runs(a: int, b: int) -> list:
+    """Starts of the runs of ``LAG_RUN`` grid points or fewer that halving
+    ``[a, b)`` at middle indices, again and again, ends with."""
+    if b - a <= LAG_RUN:
+        return [a]
+    m = (a + b) // 2
+    return _halving_runs(a, m) + _halving_runs(m, b)
+
+
+def worst_lag(traj: PiecewiseTrajectory, leader: PiecewiseTrajectory, phi: float,
+              delta0: float, ts: np.ndarray, floor: float = -math.inf):
+    """(value, t) of the maximum of the lag p + phi*v + delta0 - P_leader
+    (minus the rear-end gap) over the sorted grid ``ts`` of ``traj``, the
+    earliest time on a tie; (-inf, nan) if nothing is sampled.
+
+    Branch and bound over ``gap_bounds``, starting from its pieces: the
+    run with the highest bound goes first. A run whose bounds lie within
+    GAP_MARGIN of each other, or of ``LAG_RUN`` points or fewer, is
+    sampled, ``GRID_BLOCK`` points at a time; a longer one is cut, by
+    halving at middle grid indices, into runs of ``LAG_RUN`` points or
+    fewer, all bounded at once. A run whose upper bound lies more than
+    GAP_MARGIN below max(best sampled value, ``floor``) cannot reach it and
+    is never sampled. So a grid maximum at or above ``floor`` is exactly
+    the one sampling the whole grid gives, and one below it comes back as
+    some value below ``floor``.
+    """
+    if ts.size == 0:
+        return -math.inf, math.nan
+    lead = leader.extended(traj.tf + 1e-9)
+    ta, _, C, Q, ok, g_lo, g_hi = gap_bounds(traj, leader, phi, delta0, ts[0], ts[-1])
+    lo = np.searchsorted(ts, ta, side="left").tolist()   # the grid run of each piece
+    # the lag is minus the gap: (-upper lag bound, lo, hi, lag spread, piece)
+    heap = [(g, a, b, u - g, k) for k, (a, b, g, u) in
+            enumerate(zip(lo, lo[1:] + [ts.size], g_lo.tolist(), g_hi.tolist())) if b > a]
+    heapq.heapify(heap)
+    best, t_best = -math.inf, math.nan
+    while heap and -heap[0][0] >= max(best, floor) - GAP_MARGIN:
+        _, a, b, spread, k = heapq.heappop(heap)
+        if b - a <= LAG_RUN or spread < GAP_MARGIN:
+            for at in range(a, b, GRID_BLOCK):
+                seg = ts[at:min(at + GRID_BLOCK, b)]
+                p, v, _ = traj.sample(seg)
+                lag = p + phi * v + delta0 - lead.sample(seg)[0]
+                i = int(np.argmax(lag))
+                if lag[i] > best or (lag[i] == best and seg[i] < t_best):
+                    best, t_best = float(lag[i]), float(seg[i])
+            continue
+        starts = _halving_runs(a, b)
+        ends = starts[1:] + [b]
+        rows = [k] * len(starts)
+        g, u = gap_range(C[rows], Q[rows], ok[rows], ts[starts], ts[np.array(ends) - 1], phi)
+        for run in zip(g.tolist(), starts, ends, (u - g).tolist(), rows):
+            heapq.heappush(heap, run)
+    return best, t_best
 
 
 # ---------------------------------------------------------------------------

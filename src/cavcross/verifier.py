@@ -8,9 +8,9 @@ continuity, the terminal position and the merging-zone hold are evaluated
 at their times, the Hamiltonian on 50 points per cubic. The gap-ride
 ("track") arcs, whose extrema are found by a scan, are sampled on the 1 ms
 grid, in blocks of ``GRID_BLOCK`` points. The rear-end gap behind a leader
-takes its grid maximum by branch and bound over the closed-form gap bounds
-of ``model.gap_bounds``, sampling the grid only where no bound rules a run
-out.
+takes its grid maximum from ``model.worst_lag``, the branch and bound over
+the closed-form gap bounds that the fleet check uses too, sampling the grid
+only where no bound rules a run out.
 
 ``transcription_oracle`` discretizes the same problem on a uniform grid
 (piecewise-constant control, exact dynamics, the gap at the grid points,
@@ -38,20 +38,17 @@ between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (GAP_MARGIN, GRID_BLOCK, PiecewiseTrajectory, ScenarioConfig,
-                    gap_bounds, gap_range, grid_runs)
+from .model import GRID_BLOCK, PiecewiseTrajectory, ScenarioConfig, worst_lag
 
 BOUND_TOL = 1e-9
 GAP_TOL = 1e-6
 CONT_TOL = 1e-8
 H_TOL = 1e-8
-LAG_RUN = 256   # grid points the audit's gap search samples instead of splitting
 
 
 @dataclass
@@ -107,8 +104,9 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
     between the candidates and the grid is reported at the earlier time.
     The rear-end gap is the maximum of ``p + phi*v + delta0 - P_leader``
     over those grid times, exactly as sampling all of them gives it, but
-    found by ``_worst_lag``: runs of the grid whose closed-form bound lies
-    more than GAP_MARGIN below the best sampled value are never sampled.
+    found by ``model.worst_lag`` with no floor: runs of the grid whose
+    closed-form bound lies more than GAP_MARGIN below the best sampled value
+    are never sampled.
     """
     rep = AuditReport()
     u_lo, u_hi = u_limits if u_limits is not None else (cfg.u_min, cfg.u_max)
@@ -169,7 +167,8 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
 
     if leader is not None:
         start = int(np.searchsorted(ts, leader.t0))
-        rep.add("rear-end gap", *_worst_lag(traj, leader, cfg, ts[start:]), GAP_TOL)
+        rep.add("rear-end gap", *worst_lag(traj, leader, cfg.phi, cfg.delta0, ts[start:]),
+                GAP_TOL)
 
     if lateral_tm is not None and lateral_tm > traj.t0:
         t_eval = min(lateral_tm, traj.tf)
@@ -219,59 +218,6 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
     if terminal_mode == "fixed" and single_cubic:
         rep.add("single-signed control", worst["-u"][0] * worst["u"][0], traj.t0, 1e-10)
     return rep
-
-
-def _halving_runs(a: int, b: int) -> list:
-    """Starts of the runs of ``LAG_RUN`` grid points or fewer that halving
-    ``[a, b)`` at middle indices, again and again, ends with."""
-    if b - a <= LAG_RUN:
-        return [a]
-    m = (a + b) // 2
-    return _halving_runs(a, m) + _halving_runs(m, b)
-
-
-def _worst_lag(traj: PiecewiseTrajectory, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
-               ts: np.ndarray):
-    """(value, t) of the grid maximum of p + phi*v + delta0 - P_leader over
-    ``ts``, the earliest time on a tie; (-inf, nan) on an empty grid.
-
-    Branch and bound over ``gap_bounds``, starting from its pieces: the
-    run with the highest bound goes first. A run whose bounds lie within
-    GAP_MARGIN of each other, or of ``LAG_RUN`` points or fewer, is
-    sampled, ``GRID_BLOCK`` points at a time; a longer one is cut, by
-    halving at middle grid indices, into runs of ``LAG_RUN`` points or
-    fewer, all bounded at once. Once every remaining bound is more than
-    GAP_MARGIN below the best sampled value, nothing left can reach it, so
-    the result is the maximum over the whole sampled grid.
-    """
-    if ts.size == 0:
-        return -math.inf, math.nan
-    lead = leader.extended(traj.tf + 1e-9)
-    ta, _, C, Q, ok, g_lo, g_hi = gap_bounds(traj, leader, cfg.phi, cfg.delta0, ts[0], ts[-1])
-    lo, hi = grid_runs(ts, ta)
-    # the lag is minus the gap: (-upper lag bound, lo, hi, lag spread, piece)
-    heap = [(g, a, b, u - g, k) for k, (a, b, g, u) in
-            enumerate(zip(lo.tolist(), hi.tolist(), g_lo.tolist(), g_hi.tolist())) if b > a]
-    heapq.heapify(heap)
-    best, t_best = -math.inf, math.nan
-    while heap and -heap[0][0] >= best - GAP_MARGIN:
-        _, a, b, spread, k = heapq.heappop(heap)
-        if b - a <= LAG_RUN or spread < GAP_MARGIN:
-            for at in range(a, b, GRID_BLOCK):
-                seg = ts[at:min(at + GRID_BLOCK, b)]
-                p, v, _ = traj.sample(seg)
-                lag = p + cfg.phi * v + cfg.delta0 - lead.sample(seg)[0]
-                i = int(np.argmax(lag))
-                if lag[i] > best or (lag[i] == best and seg[i] < t_best):
-                    best, t_best = float(lag[i]), float(seg[i])
-            continue
-        starts = _halving_runs(a, b)
-        ends = starts[1:] + [b]
-        rows = [k] * len(starts)
-        g, u = gap_range(C[rows], Q[rows], ok[rows], ts[starts], ts[np.array(ends) - 1], cfg.phi)
-        for run in zip(g.tolist(), starts, ends, (u - g).tolist(), rows):
-            heapq.heappush(heap, run)
-    return best, t_best
 
 
 # ---------------------------------------------------------------------------

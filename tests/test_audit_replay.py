@@ -5,11 +5,11 @@ scenarios and the lane streams of ``bench/inputs.STREAM_POOL`` is replayed
 by ``audit_reference.audit_whole_grid`` with the same arguments: the same
 checks in the same order, the same verdicts, and worst values and times
 within 1e-12. The same runs gate the grid work: led audits sample at most a
-quarter of their rear-end grids, and the six lane streams stay under a
-committed count of sampled points. Then the closed-form candidates on their
-own: a leaderless audit samples no grid, the left arc's value at a junction,
-which no grid point sees, is checked, and a gap that is exactly constant is
-reported at its earliest grid time.
+quarter of their rear-end grids, and the six lane streams, and their fleet
+checks alone, stay under committed counts of sampled points. Then the
+closed-form candidates on their own: a leaderless audit samples no grid,
+the left arc's value at a junction, which no grid point sees, is checked,
+and a gap that is exactly constant is reported at its earliest grid time.
 """
 import os
 import sys
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from cavcross import sim
+from cavcross.coordinator import check_guarantees
 from cavcross.fixtures import FIXTURES, fixture
 from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
 from cavcross.solver import solve_limits, solve_p0_free
@@ -31,15 +32,19 @@ from bench import inputs  # noqa: E402
 TOL = 1e-12
 # points the six lane streams sample through PiecewiseTrajectory.sample in
 # run_simulation: 27.8M with every grid sampled, 2,822,536 with the closed-form
-# rear-end gap bounds
-LANE_SAMPLE_POINTS = 2_850_000
+# rear-end gap bounds, 2,391,930 with the fleet check's open pairs searched
+# by worst_lag
+LANE_SAMPLE_POINTS = 2_420_000
+# of those, the points the fleet check samples: 434,462 with the open pieces
+# sampled in full, 3,856 with worst_lag
+LANE_FLEET_POINTS = 10_000
 
 
 @pytest.fixture(scope="module")
 def replay():
-    """(audits, lane points): (trajectory, config, keyword arguments, report,
-    points sampled) of every audit made, and the points the lane streams
-    sample in all."""
+    """(audits, lane points, fleet points): (trajectory, config, keyword
+    arguments, report, points sampled) of every audit made, the points the
+    lane streams sample in all, and of those the fleet check's."""
     scenarios = [fixture(name) for name in sorted(FIXTURES)]
     scenarios += [_random_scenario(seed) for seed in range(100)]
     lanes = [inputs.lane_stream(s) for s in inputs.STREAM_POOL]
@@ -56,15 +61,24 @@ def replay():
         calls.append((traj, cfg, kwargs, rep, sum(sizes) - before))
         return rep
 
+    fleet = []
+
+    def checked(coord):
+        before = sum(sizes)
+        rep = check_guarantees(coord)
+        fleet.append(sum(sizes) - before)
+        return rep
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "audit", recorded)
         mp.setattr(PiecewiseTrajectory, "sample", counted)
         for raw in scenarios:
             sim.run_simulation(sim.load_scenario(raw))
         sizes.clear()
+        mp.setattr(sim, "check_guarantees", checked)
         for raw in lanes:
             sim.run_simulation(sim.load_scenario(raw))
-        return calls, sum(sizes)
+        return calls, sum(sizes), sum(fleet)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +114,10 @@ def test_led_audits_sample_a_quarter_of_their_grids(replay):
 
 def test_lane_streams_sample_under_the_committed_count(replay):
     assert 0 < replay[1] <= LANE_SAMPLE_POINTS
+
+
+def test_lane_fleet_checks_sample_under_the_committed_count(replay):
+    assert 0 < replay[2] <= LANE_FLEET_POINTS
 
 
 @pytest.fixture

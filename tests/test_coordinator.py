@@ -1,11 +1,18 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from cavcross import coordinator, sim
 from cavcross.coordinator import TIE_EPS, Coordinator, check_guarantees
 from cavcross.model import (Arc, ConfigError, PiecewiseTrajectory,
                             ScenarioConfig, VehicleArrival)
 from cavcross.solver import plan, solve_p1_fixed
-from guarantee_reference import check_guarantees_all_pairs
+from guarantee_reference import check_guarantees_all_pairs, coordinator_of
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from bench import inputs  # noqa: E402
 
 CFG = ScenarioConfig(v_max=20.0)
 
@@ -44,6 +51,20 @@ def _checked(co):
     ref = check_guarantees_all_pairs(co)
     assert (rep.ok, rep.violations) == (ref.ok, ref.violations)
     return rep
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The (value, t) of every ``worst_lag`` search the fleet check makes."""
+    calls = []
+    original = coordinator.worst_lag
+
+    def counted(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(coordinator, "worst_lag", counted)
+    return calls
 
 
 @pytest.fixture
@@ -234,3 +255,28 @@ def test_guarantee_work_is_linear_in_queue_length(sampled):
     rep = check_guarantees(co)
     assert rep.ok
     assert sum(sampled) == 0
+
+
+@pytest.mark.parametrize("delta", [-2e-9, -5e-10, 0.0, 5e-10, 2e-9])
+def test_guarantees_match_reference_at_the_threshold(delta, searched):
+    # two cruises at 10 m/s with a constant gap of -1e-6 + delta, across the
+    # leader's exit: the bound leaves the pair open below -1e-6 + GAP_MARGIN,
+    # and the lag search hands it to the sampled check, which decides at
+    # -1e-6 by the reference arithmetic, whenever the lag reaches its floor
+    cfg = CFG
+    lag = cfg.phi * 10.0 + cfg.delta0 - 1e-6 + delta
+    co = Coordinator(cfg)
+    for i, t0 in ((1, 0.0), (2, lag / 10.0)):
+        co.attach(co.enqueue(_arr(i, t0)), _cruise(t0, t0 + 40.0))
+    rep = _checked(co)
+    if abs(delta) >= 5e-10:
+        assert rep.ok == (delta > 0.0)
+    assert len(searched) == (delta < 1e-9)
+
+
+def test_guarantees_match_reference_on_a_lane_stream(searched):
+    # lane stream 0 leaves two pairs open to the closed-form bound
+    result = sim.run_simulation(sim.load_scenario(inputs.lane_stream(0)))
+    ref = check_guarantees_all_pairs(coordinator_of(result))
+    assert (result.guarantees.ok, result.guarantees.violations) == (ref.ok, ref.violations)
+    assert len(searched) == 2

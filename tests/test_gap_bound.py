@@ -6,12 +6,17 @@ speed once it has left. Every gap that ``sample`` gives, here on a 1e-4 s
 grid plus every piece start, must lie within GAP_MARGIN of the bounds of
 the piece it falls in by ``sample``'s own rule: a time on a breakpoint
 belongs to the arc that starts there.
+
+``model.worst_lag``, the branch and bound over those bounds, must give the
+maximum lag of the whole sampled grid and its earliest time whenever that
+maximum reaches its ``floor``, and a value below the floor otherwise.
 """
 import numpy as np
 import pytest
 
 from cavcross.coordinator import TIE_EPS
-from cavcross.model import GAP_MARGIN, Arc, PiecewiseTrajectory, ScenarioConfig, gap_bounds
+from cavcross.model import (GAP_MARGIN, Arc, PiecewiseTrajectory, ScenarioConfig, gap_bounds,
+                            worst_lag)
 from cavcross.solver import solve_p1_fixed, solve_safety
 from test_coordinator import _cruise, _cubic
 
@@ -108,3 +113,40 @@ def test_a_tie_eps_tie():
     lead, follower = _cruise(5.0 + TIE_EPS / 2, 45.0), _cruise(5.0, 45.2)
     ta, lower, _, gap, _ = _bounded(follower, lead)
     assert ta[0] == lead.t0 and gap.min() < -1e-6
+
+
+def _grid_lag(follower, leader, cfg=CFG):
+    """(grid, lag) of the follower's 1 ms grid from the pair's start, every point sampled."""
+    ts = follower.dense_times(1e-3)
+    ts = ts[int(np.searchsorted(ts, leader.t0)):]
+    p, v, _ = follower.sample(ts)
+    return ts, p + cfg.phi * v + cfg.delta0 - leader.extended(follower.tf + 1e-9).sample(ts)[0]
+
+
+def _lag_pairs():
+    lead = _lead_pinned(39.0)
+    chain = _riders(lead, [(2.0, 12.0), (4.0, 12.5)])
+    dip = _lead_dip()
+    crawl = _cubic(0.0, 10.0, 45.0, 0.2)
+    back = _cubic(0.0, 2.0, 40.0, 40.0)
+    return [(chain[0], lead), (chain[1], chain[0]), (chain[1], lead),
+            (solve_safety(1.5, 12.0, dip, CFG, terminal="fixed", tf_fixed=42.5)[0], dip),
+            (_cubic(3.0, 10.0, 47.0, 14.0), crawl), (_cubic(6.0, 10.0, 48.0, 10.0), back),
+            (_cubic(35.0, 10.0, 75.0, 10.0), back)]
+
+
+def test_worst_lag_floor_against_the_whole_grid():
+    # gap rides (flat lag), a rider behind a predecessor not its leader, a
+    # dip, a held crawl exit, a backing leader, and pairs safe by metres
+    for k, (follower, leader) in enumerate(_lag_pairs()):
+        ts, lag = _grid_lag(follower, leader)
+        top, t_top = float(lag.max()), float(ts[int(np.argmax(lag))])
+
+        def search(*floor):
+            return worst_lag(follower, leader, CFG.phi, CFG.delta0, ts, *floor)
+
+        assert search() == (top, t_top), k
+        for floor in (-np.inf, top - 1.0, top - GAP_MARGIN, top):
+            assert search(floor) == (top, t_top), (k, floor)
+        for floor in (np.nextafter(top, np.inf), top + GAP_MARGIN, top + 1.0):
+            assert search(floor)[0] < floor, (k, floor)
