@@ -24,8 +24,9 @@ densely. It then solves three times: the predictor once, the corrector
 once and again for one step of iterative refinement. With
 the horizon free it scans and golden-sections the horizon over such solves,
 solving only the horizons whose cost can change a decision: a horizon's
-cost is at least its travel-time term gamma*T, and a horizon too short to
-reach the exit at full acceleration and top speed is infeasible, so
+cost is at least its travel-time term gamma*T plus the least energy that
+reaches the exit from v0 in T (``_least_energy``), and a horizon too short
+to reach the exit at full acceleration and top speed is infeasible, so
 comparisons that these bounds settle are skipped. The answer is the one
 that solving every candidate gives, bit for bit.
 ``iters`` caps the interior-point iterations of each solve, ``seed`` has no
@@ -376,6 +377,9 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
     exceeded by a slack priced at ``ELASTIC_PRICE`` per unit. That gives a
     strict interior to a ride that ends exactly on the gap bound and stops
     an unreachable target at a finite answer instead of the iteration cap.
+    The rows sit in one fixed layout with one bounds vector, the boxes
+    first and the elastic rows after, and the row map, its transpose and
+    the Newton blocks each read or write the rows' slices directly.
     Mehrotra predictor-corrector steps; each Newton system, ordered by stage
     as (multiplier_k, p_k, v_k), is symmetric block tridiagonal and is
     factored once per iteration by cyclic reduction for both the predictor
@@ -388,51 +392,66 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
     Returns (v_1..v_n, total elastic slack, iterations).
     """
     D = cfg.exit_distance
-    # Constraint rows by kind: cp*p_k + cv*v_k + cu*u_k <= bound at the
-    # stages of one slice (all of them, or one). The first four kinds, the
-    # control and speed boxes, are hard; the rest are elastic.
-    every = slice(0, n)
-    kinds = [(every, 0.0, 0.0, 1.0, u_hi), (every, 0.0, 0.0, -1.0, -u_lo),
-             (every, 0.0, 1.0, 0.0, cfg.v_max), (every, 0.0, -1.0, 0.0, -cfg.v_min),
-             (slice(n - 1, n), 1.0, 0.0, 0.0, D), (slice(n - 1, n), -1.0, 0.0, 0.0, -D)]
+    # Constraint rows row <= bound, in one fixed layout: u_k <= u_hi,
+    # -u_k <= -u_lo, v_k <= v_max and -v_k <= -v_min (n rows each, hard),
+    # then the elastic rows: p_n <= D and -p_n <= -D, the gap rows
+    # p_k + phi v_k <= gap_bound[k-1] (n rows, with a leader) and the hold
+    # p_hold_idx <= L (one row, with a hold).
+    n2, n3, n4 = 2 * n, 3 * n, 4 * n
+    gap_rows = slice(n4 + 2, n4 + 2 + n)
+    m = n4 + 2 + (n if gap_bound is not None else 0) + (hold_idx is not None)
+    el = slice(n4, m)
+    bounds = np.empty(m)
+    bounds[:n], bounds[n:n2] = u_hi, -u_lo
+    bounds[n2:n3], bounds[n3:n4] = cfg.v_max, -cfg.v_min
+    bounds[n4], bounds[n4 + 1] = D, -D
     if gap_bound is not None:
-        kinds.append((every, 1.0, cfg.phi, 0.0, gap_bound))
+        bounds[gap_rows] = gap_bound
     if hold_idx is not None:
-        kinds.append((slice(hold_idx - 1, hold_idx), 1.0, 0.0, 0.0, cfg.L))
-    spans, m = [], 0
-    for kind in kinds:
-        size = kind[0].stop - kind[0].start
-        spans.append((slice(m, m + size),) + kind)
-        m += size
-    el = slice(4 * n, m)
+        bounds[-1] = cfg.L
+
+    def increments(x, x_start, out):
+        """x_k - x_{k-1} for k = 1..n, with x_0 = x_start, into ``out``."""
+        out[0] = x[0] - x_start
+        np.subtract(x[1:], x[:-1], out=out[1:])
+        return out
 
     def row_values(p, v, v_start, minus_bound):
         """Every row's left-hand side (less its bound if ``minus_bound``)."""
-        u = np.diff(v, prepend=v_start) / h
-        out = np.zeros(m)
-        for rows, at, cp, cv, cu, bound in spans:
-            x = out[rows]
-            for coef, val in ((cp, p), (cv, v), (cu, u)):
-                if coef:
-                    x += coef * val[at]
-            if minus_bound:
-                x -= bound
+        out = np.empty(m)
+        u = increments(v, v_start, out[:n])
+        u /= h
+        np.negative(u, out=out[n:n2])
+        out[n2:n3] = v
+        np.negative(v, out=out[n3:n4])
+        out[n4], out[n4 + 1] = p[-1], -p[-1]
+        if gap_bound is not None:
+            np.multiply(cfg.phi, v, out=out[gap_rows])
+            out[gap_rows] += p
+        if hold_idx is not None:
+            out[-1] = p[hold_idx - 1]
+        if minus_bound:
+            out -= bounds
         return out
 
     def row_adjoint(z):
         """The transposed row map: z's gradient on (p, v)."""
-        gp, gv, gu = np.zeros(n), np.zeros(n), np.zeros(n)
-        for rows, at, cp, cv, cu, _ in spans:
-            for coef, g in ((cp, gp), (cv, gv), (cu, gu)):
-                if coef:
-                    g[at] += coef * z[rows]
+        gu = z[:n] - z[n:n2]
+        gv = z[n2:n3] - z[n3:n4]
+        gp = np.zeros(n)
+        gp[-1] = z[n4] - z[n4 + 1]
+        if gap_bound is not None:
+            gp += z[gap_rows]
+            gv += cfg.phi * z[gap_rows]
+        if hold_idx is not None:
+            gp[hold_idx - 1] += z[-1]
         gu /= h
         gv += gu
         gv[:-1] -= gu[1:]
         return gp, gv
 
     def dynamics(p, v, v_start):
-        out = np.diff(p, prepend=0.0)
+        out = increments(p, 0.0, np.empty(n))
         out[0] -= 0.5 * h * v_start
         out[1:] -= 0.5 * h * v[:-1]
         out -= 0.5 * h * v
@@ -445,7 +464,8 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         gv[:-1] -= 0.5 * h * y[1:]
 
     def add_energy_gradient(v, v_start, gv):
-        u = np.diff(v, prepend=v_start) / h
+        u = increments(v, v_start, np.empty(n))
+        u /= h
         gv += u
         gv[:-1] -= u[1:]
 
@@ -454,12 +474,15 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         kkt_d = np.zeros((3, 3, n))
         kkt_l = np.zeros((3, 3, n))
         # v_k - v_{k-1} coupling: energy 1/h plus the control rows' barriers
-        cu = kkt_l[2, 2]
-        for rows, at, cp, cv, cu_coef, _ in spans:
-            for coef, acc in ((cp * cp, kkt_d[1, 1]), (cp * cv, kkt_d[1, 2]),
-                              (cv * cv, kkt_d[2, 2]), (cu_coef * cu_coef, cu)):
-                if coef:
-                    acc[at] += coef * iq[rows]
+        cu = np.add(iq[:n], iq[n:n2], out=kkt_l[2, 2])
+        np.add(iq[n2:n3], iq[n3:n4], out=kkt_d[2, 2])
+        kkt_d[1, 1, -1] = iq[n4] + iq[n4 + 1]
+        if gap_bound is not None:
+            kkt_d[1, 1] += iq[gap_rows]
+            np.multiply(cfg.phi, iq[gap_rows], out=kkt_d[1, 2])
+            kkt_d[2, 2] += (cfg.phi * cfg.phi) * iq[gap_rows]
+        if hold_idx is not None:
+            kkt_d[1, 1, hold_idx - 1] += iq[-1]
         cu /= h
         cu += 1.0
         cu /= h
@@ -572,7 +595,7 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         add_energy_gradient(v, v0, r_v)
         r_e = ELASTIC_PRICE - z[el]
         r_e -= w
-        du = np.diff(v, prepend=v0)
+        du = increments(v, v0, np.empty(n))
         cost = cfg.gamma * T + 0.5 / h * float(du @ du)
         gap = float(s @ z + e @ w)
         # dual residuals are judged relative to the multipliers they sum
@@ -612,6 +635,28 @@ def _unreachable(T, v0, cfg: ScenarioConfig, u_hi):
     return reach < cfg.exit_distance - 10.0 * FEASIBLE_TOL
 
 
+def _outer_cost(res: OracleResult):
+    """The free-horizon search's cost of one horizon: the cost, plus
+    INFEASIBLE_PRICE*(1 + max_violation) if infeasible."""
+    return res.cost if res.feasible else res.cost + INFEASIBLE_PRICE * (1.0 + res.max_violation)
+
+
+def _least_energy(n, h, v0, D):
+    """A lower bound on the energy term of any outer cost on n steps of h.
+
+    The rollout ends at p_n = v0*n*h + h^2 * sum((n - k + 1/2) u_k), so by
+    Cauchy-Schwarz sum(u_k^2) h/2 >= r^2 / (2 h^3 S), S = n(4n^2 - 1)/12,
+    for any answer ending within r of the offset D - v0*n*h. A feasible
+    answer ends within FEASIBLE_TOL of the exit; r allows twice that, for
+    the rollout's rounding. An infeasible answer's outer cost carries
+    INFEASIBLE_PRICE instead, so the bound is capped there, and it is
+    shrunk by 1e-9 relative for the rounding of the summed cost.
+    """
+    r = max(abs(D - v0 * (n * h)) - 2.0 * FEASIBLE_TOL, 0.0)
+    S = n * (4.0 * n * n - 1.0) / 12.0
+    return min(r * r / (2.0 * h ** 3 * S) * (1.0 - 1e-9), INFEASIBLE_PRICE)
+
+
 def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
                          leader=None, lateral_tm=None, u_limits=None,
                          iters=10000, seed=0):
@@ -623,12 +668,15 @@ def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
     best one and refines by 10 golden-section steps on the outer cost: the
     cost, plus INFEASIBLE_PRICE*(1 + max_violation) if infeasible, so with
     no feasible horizon the search heads for the least infeasible one. A
-    candidate is solved only if its cost can change a decision, by two
+    candidate is solved only if its cost can change a decision, by three
     exact rules:
 
-    * the outer cost is at least the travel-time term gamma*n*h, so a scan
-      point whose term reaches the least cost before it cannot be the first
-      minimum, and a golden point m2 whose term exceeds m1's cost loses;
+    * the outer cost is at least the travel-time term gamma*n*h plus
+      ``_least_energy``, so a scan point whose floor reaches the least cost
+      before it cannot be the first minimum, and a golden point m2 whose
+      floor exceeds m1's cost loses;
+    * by the same floor, a golden point m1 whose floor reaches the cost of
+      an m2 already solved loses;
     * a horizon that ``_unreachable`` rejects is infeasible, so its outer
       cost is at least INFEASIBLE_PRICE: such scan points are solved only if
       no other point costs less, and such a golden point m1 loses to an m2
@@ -684,23 +732,21 @@ def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
     def outer_cost(tf_val):
         key = round(tf_val, 6)
         if key not in cache:
-            res = solve_fixed(tf_val)
-            cache[key] = (res.cost if res.feasible else
-                          res.cost + INFEASIBLE_PRICE * (1.0 + res.max_violation))
+            cache[key] = _outer_cost(solve_fixed(tf_val))
         return cache[key]
 
     def cost_floor(tf_val):
         """A lower bound on ``outer_cost(tf_val)`` that solves nothing.
 
-        The travel-time term gamma*n*h, unless the rounded key is cached:
-        then the cached cost itself, which may come from a nearby horizon
-        and so need not exceed this horizon's term.
+        The travel-time term gamma*n*h plus ``_least_energy``, unless the
+        rounded key is cached: then the cached cost itself, which may come
+        from a nearby horizon and so need not exceed this horizon's floor.
         """
         key = round(tf_val, 6)
         if key in cache:
             return cache[key]
         n, h = steps(tf_val)
-        return cfg.gamma * (n * h)
+        return cfg.gamma * (n * h) + _least_energy(n, h, v0, cfg.exit_distance)
 
     def unreachable(tf_val):
         return _unreachable(tf_val - t0, v0, cfg, u_hi)
@@ -731,6 +777,8 @@ def transcription_oracle(t0, v0, cfg: ScenarioConfig, *, tf=None, dt=0.01,
         m2 = lo + phi_g * (hi - lo)
         # outer_cost(m1) < outer_cost(m2), decided from a bound where one suffices
         if unreachable(m1) and outer_cost(m2) < INFEASIBLE_PRICE:
+            lo = m1
+        elif cost_floor(m1) >= cache.get(round(m2, 6), math.inf):
             lo = m1
         elif outer_cost(m1) < cost_floor(m2) or outer_cost(m1) < outer_cost(m2):
             hi = m2

@@ -191,16 +191,38 @@ def _assert_same_result(res, ref):
         assert np.array_equal(getattr(res, f.name), getattr(ref, f.name)), f.name
 
 
-def _c8_free(i):
+def _c8_free(i, max_solves):
     """c8 free instance i (bench's oracle instance of the free family)."""
     return pytest.param(0.0, 8 + 4 * np.random.default_rng(200 + i).random(), CFG,
-                        0.02, dict, 12, id=f"c8_free_{i}")
+                        0.02, dict, max_solves, id=f"c8_free_{i}")
+
+
+def _recording_results(monkeypatch):
+    """Every ``OracleResult`` the oracle builds from here on, in order."""
+    made = []
+
+    def record(**fields):
+        made.append(OracleResult(**fields))
+        return made[-1]
+
+    monkeypatch.setattr(verifier, "OracleResult", record)
+    return made
+
+
+def _assert_floor_bounds_each(results, t0, v0, cfg):
+    """gamma*n*h + ``_least_energy`` is at most each horizon's outer cost."""
+    assert results
+    for res in results:
+        n = res.controls.size
+        h = (res.tf - t0) / n
+        floor = cfg.gamma * (n * h) + verifier._least_energy(n, h, v0, cfg.exit_distance)
+        assert floor <= verifier._outer_cost(res), f"tf = {res.tf}"
 
 
 @pytest.mark.parametrize("t0, v0, cfg, dt, kw, max_solves", [
-    *(_c8_free(i) for i in range(4)),
+    *(_c8_free(i, max_solves) for i, max_solves in enumerate((5, 6, 4, 5))),
     pytest.param(2.0, 12.0, CFG, 0.05,
-                 lambda: {"leader": solve_p1_fixed(0.0, 10.0, 39.0, CFG)[1]}, 13,
+                 lambda: {"leader": solve_p1_fixed(0.0, 10.0, 39.0, CFG)[1]}, 11,
                  id="leader"),
     pytest.param(2.0, 12.0, CFG, 0.05, lambda: {"lateral_tm": 32.0}, 10, id="hold"),
     pytest.param(0.0, 13.45, CAP, 0.05, lambda: {"u_limits": (-0.2, 0.2)}, 12,
@@ -217,12 +239,30 @@ def test_free_horizon_search_matches_solving_every_candidate(monkeypatch, t0, v0
 
     monkeypatch.setattr(verifier, "_transcription_qp", counted)
     kw = kw()
+    candidates = _recording_results(monkeypatch)
     ref = free_horizon_oracle(t0, v0, cfg, dt=dt, iters=1500, **kw)
     assert len(solved) == 19
+    # the cost floor holds on every candidate, skipped by the search or not
+    _assert_floor_bounds_each(candidates, t0, v0, cfg)
     solved.clear()
     res = transcription_oracle(t0, v0, cfg, dt=dt, iters=1500, **kw)
     _assert_same_result(res, ref)
     assert len(solved) <= max_solves
+
+
+def test_least_energy_floor_is_tight_where_nothing_binds():
+    # c8 free 0's returned horizon: no box, gap or hold row binds, so the
+    # optimal control is the Cauchy-Schwarz extremal and the floor is its
+    # energy up to the terminal tolerance
+    v0 = 8 + 4 * np.random.default_rng(200).random()
+    res = transcription_oracle(0.0, v0, CFG, dt=0.02, iters=1500)
+    assert res.feasible
+    n = res.controls.size
+    h = res.tf / n
+    energy = res.cost - CFG.gamma * (n * h)
+    floor = verifier._least_energy(n, h, v0, CFG.exit_distance)
+    assert floor <= energy
+    assert energy - floor <= 1e-3 * energy
 
 
 def _coast(n, h, v0, *rest):
@@ -246,7 +286,9 @@ def _constant_control(n, h, v0, cfg, *rest):
 ], ids=["no_feasible_horizon", "near_tie"])
 def test_free_horizon_search_with_a_stand_in_solve(monkeypatch, qp, v0, cfg):
     monkeypatch.setattr(verifier, "_transcription_qp", qp)
+    candidates = _recording_results(monkeypatch)
     ref = free_horizon_oracle(0.0, v0, cfg)
+    _assert_floor_bounds_each(candidates, 0.0, v0, cfg)
     res = transcription_oracle(0.0, v0, cfg)
     _assert_same_result(res, ref)
 
