@@ -20,8 +20,8 @@ predictor-corrector interior-point method. Each iteration factors its
 block-tridiagonal Newton matrix once by block cyclic reduction
 (``BlockTridiagonal``), O(n) in the number of steps, as in Rao, Wright and
 Rawlings (1998), down to a top of at most ``TOP_BLOCKS`` blocks inverted
-densely. It then solves three times: the predictor once, the corrector
-once and again for one step of iterative refinement. With
+densely. It then solves twice, the predictor once and the corrector once,
+each solve one batched product a level down and two back up. With
 the horizon free it scans and golden-sections the horizon over such solves,
 solving only the horizons whose cost can change a decision: a horizon's
 cost is at least its travel-time term gamma*T plus the least energy that
@@ -301,11 +301,15 @@ class BlockTridiagonal:
     leaves a system of the same form on the odd ones, half the size, until
     at most ``TOP_BLOCKS`` blocks remain; that top system is inverted as one
     dense matrix of at most 24x24. The factor is O(n) batched 3x3 work and
-    keeps, per level, the inverses of the eliminated blocks, the coupling
-    blocks and the two products with the inverses that the reduction forms,
-    so each solve's forward sweep is two batched products a level. Pivots
-    are whole diagonal blocks, so the system needs no definiteness, only
-    nonsingular pivot blocks at every level and a nonsingular top.
+    keeps, per level, the inverses of the eliminated blocks and one stored
+    product ``fwd``: for odd block j, ``fwd[:, :3, j]`` is L[2j+1]·inv_j and
+    ``fwd[:, 3:, j]`` is L[2j+2]^T·inv_{j+1}, the two products the reduction
+    forms anyway. Each solve's forward sweep is one batched product a level
+    with ``fwd`` over the stacked even blocks (j, j+1). Every pivot block is
+    symmetric, so inv·L^T = (L·inv)^T and the back substitution reads both
+    of its coupling products from ``fwd`` too, transposed. Pivots are whole
+    diagonal blocks, so the system needs no definiteness, only nonsingular
+    pivot blocks at every level and a nonsingular top.
     """
 
     def __init__(self, L, D):
@@ -317,14 +321,18 @@ class BlockTridiagonal:
             # j < cross, to even block j+1 by L[2j+2]^T; eliminating both
             # gives the next level
             left, right = L[:, :, 1::2], L[:, :, 2::2]
-            left_inv = np.einsum("ijk,jlk->ilk", left, inv[:, :, :keep])
+            fwd = np.empty((3, 6, keep))
+            left_inv = np.einsum("ijk,jlk->ilk", left, inv[:, :, :keep], out=fwd[:, :3])
+            # einsum writes rows shorter than their stride slowly, so copy
             right_inv = np.einsum("jik,jlk->ilk", right, inv[:, :, 1:])
+            fwd[:, 3:, :cross] = right_inv
+            fwd[:, 3:, cross:] = 0.0
             d_next = np.einsum("ijk,ljk->ilk", left_inv, left)
             np.subtract(D[:, :, 1::2], d_next, out=d_next)
             d_next[:, :, :cross] -= np.einsum("ijk,jlk->ilk", right_inv, right)
             l_next = np.einsum("ijk,jlk->ilk", left_inv, L[:, :, 0:2 * keep:2])
             l_next *= -1.0
-            self.levels.append((inv, L, left_inv, right_inv))
+            self.levels.append((inv, fwd))
             L, D = l_next, d_next
         # the top system as one dense matrix, block row k at rows 3k..3k+2
         n = D.shape[2]
@@ -337,23 +345,29 @@ class BlockTridiagonal:
 
     def solve(self, r):
         evens = []
-        for _, _, left_inv, right_inv in self.levels:
-            even = r[:, 0::2]
+        for _, fwd in self.levels:
+            keep, even = fwd.shape[2], r[:, 0::2]
             evens.append(even)
-            r = r[:, 1::2] - _mv(left_inv, even[:, :left_inv.shape[2]])
-            r[:, :right_inv.shape[2]] -= _mv(right_inv, even[:, 1:])
+            # even blocks j and j+1 of odd block j; fwd is zero past the last
+            pair = np.empty((6, keep))
+            pair[:3] = even[:, :keep]
+            pair[3:, :even.shape[1] - 1] = even[:, 1:]
+            pair[3:, even.shape[1] - 1:] = 0.0
+            r = r[:, 1::2] - _mv(fwd, pair)
         # level l's blocks sit at x[:, 2^l - 1::2^l], its odd ones at the next level's
         x = np.empty((3, sum(even.shape[1] for even in evens) + r.shape[1]))
         stride = 1 << len(evens)
         x[:, stride - 1::stride] = (self.top @ r.T.ravel()).reshape(-1, 3).T
-        for (inv, L, left_inv, right_inv), even in zip(reversed(self.levels), reversed(evens)):
+        for (inv, fwd), even in zip(reversed(self.levels), reversed(evens)):
             stride //= 2
             blocks = x[:, stride - 1::stride]
-            odd = blocks[:, 1::2]
-            t = even.copy()
-            t[:, :odd.shape[1]] -= _mtv(L[:, :, 1::2], odd)
-            t[:, 1:] -= _mv(L[:, :, 2::2], odd[:, :right_inv.shape[2]])
-            blocks[:, 0::2] = _mv(inv, t)
+            # x_even = inv·even - fwd^T·x_odd, the two halves of fwd^T·x_odd
+            # landing on even blocks j and j+1
+            back = _mtv(fwd, blocks[:, 1::2])
+            x_even = blocks[:, 0::2]
+            np.einsum("ijk,jk->ik", inv, even, out=x_even)
+            x_even[:, :back.shape[1]] -= back[:3]
+            x_even[:, 1:] -= back[3:, :x_even.shape[1] - 1]
         return x
 
 
@@ -383,11 +397,14 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
     Mehrotra predictor-corrector steps; each Newton system, ordered by stage
     as (multiplier_k, p_k, v_k), is symmetric block tridiagonal and is
     factored once per iteration by cyclic reduction for both the predictor
-    and the corrector. The predictor only sets the corrector's centring, so
-    it is solved once; the corrector, the step taken, gets one step of
-    iterative refinement: three solves an iteration. Work and memory are
-    O(n); the memory is kept to a few dozen arrays of length n, since the
-    free-horizon scan reaches n of several thousand.
+    and the corrector, which are solved once each: two solves an iteration.
+    Neither solve is refined: on the oracle's own Newton systems the
+    solve's backward error is at round-off (checked densely in the tests).
+    The stage variables (y, p, v) are the rows of one array, the
+    slacks (s, e) one vector and their multipliers (z, w) another, so a
+    step moves each in one pass and one ratio test covers each. Work and
+    memory are O(n); the memory is kept to a few dozen arrays of length n,
+    since the free-horizon scan reaches n of several thousand.
 
     Returns (v_1..v_n, total elastic slack, iterations).
     """
@@ -416,9 +433,8 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         np.subtract(x[1:], x[:-1], out=out[1:])
         return out
 
-    def row_values(p, v, v_start, minus_bound):
-        """Every row's left-hand side (less its bound if ``minus_bound``)."""
-        out = np.empty(m)
+    def row_values(p, v, v_start, out):
+        """Every row's left-hand side, into ``out``."""
         u = increments(v, v_start, out[:n])
         u /= h
         np.negative(u, out=out[n:n2])
@@ -430,44 +446,23 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
             out[gap_rows] += p
         if hold_idx is not None:
             out[-1] = p[hold_idx - 1]
-        if minus_bound:
-            out -= bounds
         return out
 
-    def row_adjoint(z):
-        """The transposed row map: z's gradient on (p, v)."""
+    def row_adjoint(z, gp, gv):
+        """The transposed row map: z's gradient on (p, v), into gp and gv."""
         gu = z[:n] - z[n:n2]
-        gv = z[n2:n3] - z[n3:n4]
-        gp = np.zeros(n)
-        gp[-1] = z[n4] - z[n4 + 1]
+        np.subtract(z[n2:n3], z[n3:n4], out=gv)
         if gap_bound is not None:
-            gp += z[gap_rows]
+            gp[:] = z[gap_rows]
             gv += cfg.phi * z[gap_rows]
+        else:
+            gp.fill(0.0)
+        gp[-1] += z[n4] - z[n4 + 1]
         if hold_idx is not None:
             gp[hold_idx - 1] += z[-1]
         gu /= h
         gv += gu
         gv[:-1] -= gu[1:]
-        return gp, gv
-
-    def dynamics(p, v, v_start):
-        out = increments(p, 0.0, np.empty(n))
-        out[0] -= 0.5 * h * v_start
-        out[1:] -= 0.5 * h * v[:-1]
-        out -= 0.5 * h * v
-        return out
-
-    def add_dynamics_adjoint(y, gp, gv):
-        gp += y
-        gp[:-1] -= y[1:]
-        gv -= 0.5 * h * y
-        gv[:-1] -= 0.5 * h * y[1:]
-
-    def add_energy_gradient(v, v_start, gv):
-        u = increments(v, v_start, np.empty(n))
-        u /= h
-        gv += u
-        gv[:-1] -= u[1:]
 
     def newton_factor():
         """The Newton matrix with the row barriers folded into the stage blocks."""
@@ -496,77 +491,54 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         kkt_l[0, 2] = -0.5 * h
         return BlockTridiagonal(kkt_l, kkt_d)
 
-    def newton_apply(x):
-        """The Newton matrix times x = (multipliers, p, v), matrix-free."""
-        dy, dp, dv = x
-        q = row_values(dp, dv, 0.0, False)
-        q *= iq
-        gp, gv = row_adjoint(q)
-        add_dynamics_adjoint(dy, gp, gv)
-        add_energy_gradient(dv, 0.0, gv)
-        return np.stack([dynamics(dp, dv, 0.0), gp, gv])
-
     def newton_rhs(t):
-        q = iq * t
-        gp, gv = row_adjoint(q)
-        gp += r_p
-        gv += r_v
-        return -np.stack([r_dyn, gp, gv])
+        """Minus the stage residuals plus the rows' share of t, into ``rhs``."""
+        row_adjoint(iq * t, rhs[1], rhs[2])
+        rhs[0] = 0.0
+        np.add(rhs, resid, out=rhs)
+        return np.negative(rhs, out=rhs)
 
-    def solve_refined(fac, rhs):
-        x = fac.solve(rhs)
-        rhs -= newton_apply(x)
-        x += fac.solve(rhs)
-        return x
+    def direction(fac, c):
+        """Newton step for complementarity targets c of [s; e], and its longest step.
 
-    def direction(fac, c_s, c_e, refine):
-        """Newton step for complementarity targets c_s, c_e, and its longest step.
-
-        The row multipliers and slacks are eliminated into the stage blocks;
-        with ``refine``, the solve of the reduced system gets one step of
-        iterative refinement. ``c_s`` is overwritten.
+        The row multipliers and slacks are eliminated into the stage blocks,
+        and the reduced system is solved once. Returns the stage step, the
+        steps of [s; e] and of [z; w], and the longest step keeping both
+        nonnegative.
         """
-        el_shift = (c_e - e * r_e) / w
-        t = c_s
-        t /= z
+        el_shift = c[m:] - e * r_e
+        el_shift /= w
+        t = c[:m] / z
         t += r_row
         t[el] -= el_shift
-        rhs = newton_rhs(t)
-        x = solve_refined(fac, rhs) if refine else fac.solve(rhs)
-        dz = row_values(x[1], x[2], 0.0, False)
+        x = fac.solve(newton_rhs(t))
+        dse, dzw = np.empty(se.size), np.empty(se.size)
+        ds, de, dz, dw = dse[:m], dse[m:], dzw[:m], dzw[m:]
+        row_values(x[1], x[2], 0.0, dz)
         dz += t
         dz *= iq
-        # ds = c_s/z - s*dz/z, with c_s/z recovered from t, in t's place
-        ds = t
-        ds -= r_row
-        ds[el] += el_shift
-        t = s * dz
-        t /= z
-        ds -= t
-        de = e * dz[el]
+        # ds = (c_s - s*dz)/z
+        np.multiply(s, dz, out=ds)
+        np.subtract(c[:m], ds, out=ds)
+        ds /= z
+        np.multiply(e, dz[el], out=de)
         de /= w
         de += el_shift
-        dw = r_e - dz[el]
-        step = min(_step_to_bound(s, ds), _step_to_bound(e, de),
-                   _step_to_bound(z, dz), _step_to_bound(w, dw))
-        return x, ds, de, dz, dw, step
+        np.subtract(r_e, dz[el], out=dw)
+        return x, dse, dzw, min(_step_to_bound(se, dse), _step_to_bound(zw, dzw))
 
-    def corrector_targets(fac):
+    def corrector_targets(fac, gap):
         """Mehrotra's targets: the predictor's complementarity, centred."""
-        _, ds, de, dz, dw, step = direction(fac, -s * z, -e * w, refine=False)
+        minus_sz = se * zw
+        minus_sz *= -1.0
+        _, dse, dzw, step = direction(fac, minus_sz)
         a = min(1.0, step)
-        gap = float(s @ z + e @ w)
-        gap_aff = gap + sum(a * (q @ dr + dq @ r) + a * a * (dq @ dr)
-                            for q, dq, r, dr in ((s, ds, z, dz), (e, de, w, dw)))
-        centre = (gap_aff / gap) ** 3 * gap / (s.size + e.size)
+        gap_aff = gap + a * float(se @ dzw + dse @ zw) + a * a * float(dse @ dzw)
+        centre = (gap_aff / gap) ** 3 * gap / se.size
         # c = centre - s*z - ds*dz, cancelling the predictor's second-order term
-        ds *= dz
-        ds += s * z
-        np.subtract(centre, ds, out=ds)
-        de *= dw
-        de += e * w
-        np.subtract(centre, de, out=de)
-        return ds, de
+        dse *= dzw
+        dse -= minus_sz
+        return np.subtract(centre, dse, out=dse)
 
     # start from the constant control that reaches D, kept strictly inside
     # both boxes (v0 lies strictly inside the speed box)
@@ -574,34 +546,57 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
     lo, hi = max(u_lo, (cfg.v_min - v0) / T), min(u_hi, (cfg.v_max - v0) / T)
     margin = 0.25 * (hi - lo)
     uc = min(max(2.0 * (D - v0 * T) / (T * T), lo + margin), hi - margin)
-    p = h * np.arange(1, n + 1)
-    v = v0 + uc * p
+    # the stage variables (multiplier y_k, p_k, v_k) as the rows of one
+    # array, like a Newton step; the row slacks s and the elastic slacks e
+    # (m - n4 of them) as one vector, their multipliers z and w as another
+    state = np.empty((3, n))
+    y, p, v = state
+    y.fill(0.0)
+    p[:] = h * np.arange(1, n + 1)
+    np.multiply(uc, p, out=v)
+    v += v0
     p *= v0 + 0.5 * uc * p
-    s = -row_values(p, v, v0, True)
+    se, zw = np.empty(2 * m - n4), np.empty(2 * m - n4)
+    s, e, z, w = se[:m], se[m:], zw[:m], zw[m:]
+    np.subtract(bounds, row_values(p, v, v0, s), out=s)
     s[el] = np.maximum(s[el], 0.0) + 1.0
-    z = START_MU / s
-    w = ELASTIC_PRICE - z[el]
-    e = START_MU / w
-    y = np.zeros(n)
+    np.divide(START_MU, s, out=z)
+    np.subtract(ELASTIC_PRICE, z[el], out=w)
+    np.divide(START_MU, w, out=e)
+    # per-iteration work arrays: row residuals, the stage residuals
+    # (dynamics, gradients on p and v) and the Newton right-hand side
+    r_row, resid, rhs = np.empty(m), np.empty((3, n)), np.empty((3, n))
+    r_dyn, r_p, r_v = resid
 
     it = 0
     while True:
-        r_row = row_values(p, v, v0, True)
+        row_values(p, v, v0, r_row)
+        r_row -= bounds
         r_row += s
         r_row[el] -= e
-        r_dyn = dynamics(p, v, v0)
-        r_p, r_v = row_adjoint(z)
-        add_dynamics_adjoint(y, r_p, r_v)
-        add_energy_gradient(v, v0, r_v)
-        r_e = ELASTIC_PRICE - z[el]
-        r_e -= w
+        # the dynamics p_k - p_{k-1} - h (v_{k-1} + v_k)/2
+        increments(p, 0.0, r_dyn)
+        r_dyn[0] -= 0.5 * h * v0
+        r_dyn[1:] -= 0.5 * h * v[:-1]
+        r_dyn -= 0.5 * h * v
+        # the Lagrangian's gradient on (p, v): rows, dynamics, energy
+        row_adjoint(z, r_p, r_v)
+        r_p += y
+        r_p[:-1] -= y[1:]
+        r_v -= 0.5 * h * y
+        r_v[:-1] -= 0.5 * h * y[1:]
         du = increments(v, v0, np.empty(n))
         cost = cfg.gamma * T + 0.5 / h * float(du @ du)
-        gap = float(s @ z + e @ w)
+        du /= h
+        r_v += du
+        r_v[:-1] -= du[1:]
+        r_e = ELASTIC_PRICE - z[el]
+        r_e -= w
+        gap = float(se @ zw)
         # dual residuals are judged relative to the multipliers they sum
         dual_scale = max(1.0, np.max(np.abs(y)), np.max(z))
         res = max(np.max(np.abs(r_row)), np.max(np.abs(r_dyn)),
-                  max(np.max(np.abs(r_p)), np.max(np.abs(r_v))) / dual_scale)
+                  np.max(np.abs(resid[1:])) / dual_scale)
         gap_tol = GAP_REL_TOL * max(1.0, cost)
         done = (gap <= gap_tol and res <= RES_TOL
                 and np.max(np.abs(r_e)) <= RES_TOL * ELASTIC_PRICE)
@@ -614,11 +609,15 @@ def _transcription_qp(n, h, v0, cfg: ScenarioConfig, u_lo, u_hi, gap_bound,
         iq = z / s
         iq[el] = 1.0 / (s[el] / z[el] + e / w)
         fac = newton_factor()
-        x, ds, de, dz, dw, step = direction(fac, *corrector_targets(fac), refine=True)
+        x, dse, dzw, step = direction(fac, corrector_targets(fac, gap))
         fac = None   # the next factor is built with this one released
         a = min(1.0, TO_BOUNDARY * step)
-        for var, dvar in ((y, x[0]), (p, x[1]), (v, x[2]), (s, ds), (e, de), (z, dz), (w, dw)):
-            var += a * dvar
+        x *= a
+        state += x
+        dse *= a
+        se += dse
+        dzw *= a
+        zw += dzw
 
 
 def _unreachable(T, v0, cfg: ScenarioConfig, u_hi):
