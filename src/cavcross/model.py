@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -401,6 +401,12 @@ class PiecewiseTrajectory:
             return self.arcs
         return self.arcs + (Arc.through(self.tf, until, self.eval(self.tf)[0], self.vf,
                                         0.0, 0.0, kind="cruise"),)
+
+    def until(self, t: float) -> tuple:
+        """The arcs in force before ``t`` in [t0, tf], the last one cut at
+        ``t`` (the first arc alone, cut to zero length, at t0)."""
+        arcs = self.arcs[:max(bisect.bisect_left(self._starts, t), 1)]
+        return arcs[:-1] + (replace(arcs[-1], t_end=t),)
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,16 @@ Junctions between unconstrained and gap-riding arcs use second-order contact:
 the gap, its rate, and its acceleration all vanish where the incoming cubic
 meets the boundary. That closes the entry subproblem by itself, so the
 departure subproblem can be solved afterwards without feedback, and it is
-equivalent to the gap multiplier starting from zero at the junction.
+equivalent to the gap multiplier starting from zero at the junction. The
+ride between them is one ``PiecewiseTrajectory`` (``_ride``), sampled,
+evaluated and cut (``until``) like any other.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -285,20 +287,23 @@ def _lift_amp(amp, phi):
     return tuple(x / phi for x in _pint(amp))
 
 
-def _ride_pieces(leader: PiecewiseTrajectory, tau1, u_entry, cfg: ScenarioConfig,
-                 horizon):
-    """Gap-riding arcs from tau1 to horizon, one per overlapped leader piece.
+def _ride(leader: PiecewiseTrajectory, tau1, u_entry, cfg: ScenarioConfig, horizon):
+    """The gap ride from tau1 to horizon, as a trajectory with one arc per
+    arc of the leader (held at its exit speed) that it overlaps.
 
     On the boundary the follower's control obeys u + phi*du/dt = u_k, giving
-    per leader piece a polynomial part mirrored from the leader plus an
-    exponential amplitude chosen for control continuity at the piece start.
+    per leader arc a polynomial part mirrored from the leader plus an
+    exponential amplitude chosen for control continuity at the arc start.
+    That amplitude carries exp(t/phi), so a ride starting past about
+    709.8*phi s, where the double overflows, is declined.
     """
     phi, d0 = cfg.phi, cfg.delta0
     pieces = []
     t_cur, u_cur = tau1, u_entry
-    leader = leader.extended(horizon)
-    while t_cur < horizon - 1e-12:
-        arc = leader.arc_at(min(t_cur + 1e-12, leader.tf))
+    for arc in leader.held(horizon):
+        t_end = min(arc.t_end, horizon)
+        if t_end <= t_cur + 1e-12:
+            continue
         if arc.amp and abs(arc.phi - phi) > 1e-12:
             raise StructureError("leader tracking arc uses a different headway constant")
         a = arc.a
@@ -306,13 +311,13 @@ def _ride_pieces(leader: PiecewiseTrajectory, tau1, u_entry, cfg: ScenarioConfig
         c = arc.c - phi * b
         d = arc.d - phi * c - d0
         forced = _lift_amp(arc.amp, phi)
-        t_end = min(arc.t_end, horizon)
-        if t_end <= t_cur + 1e-12:
-            t_cur = arc.t_end + 1e-12
-            continue
         poly_u = a * t_cur + b + (np.polynomial.polynomial.polyval(t_cur, forced)
                                   * math.exp(-t_cur / phi) if forced else 0.0)
-        k = (u_cur - poly_u) * math.exp(t_cur / phi)
+        try:
+            k = (u_cur - poly_u) * math.exp(t_cur / phi)
+        except OverflowError:
+            raise StructureError(f"gap ride starts too late (t={t_cur:.3f} s) for its "
+                                 f"exponential amplitude") from None
         amp = (forced[0] + k,) + forced[1:] if forced else (k,)
         piece = Arc(t_start=t_cur, t_end=t_end, a=a, b=b, c=c, d=d,
                     amp=amp, phi=phi, kind="track")
@@ -321,40 +326,7 @@ def _ride_pieces(leader: PiecewiseTrajectory, tau1, u_entry, cfg: ScenarioConfig
         t_cur = t_end
     if not pieces:
         raise StructureError("empty gap-riding segment")
-    return pieces
-
-
-def _ride_eval(pieces, t):
-    for piece in pieces:
-        if t <= piece.t_end + 1e-9:
-            return float(piece.p(t)), float(piece.v(t)), float(piece.u(t))
-    last = pieces[-1]
-    return float(last.p(t)), float(last.v(t)), float(last.u(t))
-
-
-def _ride_states(pieces, ts):
-    """``_ride_eval`` at each of the sorted times ``ts``, as (p, v, u) arrays."""
-    cuts = ([0] + np.searchsorted(ts, [piece.t_end + 1e-9 for piece in pieces[:-1]],
-                                  side="right").tolist() + [ts.size])
-    p, v, u = np.empty_like(ts), np.empty_like(ts), np.empty_like(ts)
-    for piece, lo, hi in zip(pieces, cuts, cuts[1:]):
-        p[lo:hi], v[lo:hi], u[lo:hi] = piece.p(ts[lo:hi]), piece.v(ts[lo:hi]), piece.u(ts[lo:hi])
-    return p, v, u
-
-
-def _truncate_ride(pieces, t_end):
-    out = []
-    for piece in pieces:
-        if piece.t_start >= t_end - 1e-12:
-            break
-        if piece.t_end <= t_end + 1e-12:
-            out.append(piece)
-        else:
-            out.append(replace(piece, t_end=t_end))
-            break
-    if out and abs(out[-1].t_end - t_end) > 1e-9:
-        out[-1] = replace(out[-1], t_end=t_end)
-    return out
+    return PiecewiseTrajectory(tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -373,10 +345,12 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
 
     ``terminal`` picks the exit condition: "follower" rides or departs onto
     the headway boundary's implied exit time, "fixed" pins tf, "free" leaves
-    it to the vanishing-Hamiltonian condition. Departure back to a cubic tail
-    is attempted first; if no admissible departure time exists the boundary
-    is ridden through the merging-zone exit (only meaningful for the
-    "follower" terminal).
+    it to the vanishing-Hamiltonian condition. The entry cubic meets the
+    boundary at tau1, and the ride from there is one trajectory out to a
+    horizon past the leader's exit (``_ride``). Departure from it back to a
+    cubic tail is attempted first; if no admissible departure time exists
+    the ride is extended until it passes the merging-zone exit and cut where
+    it does (only meaningful for the "follower" terminal).
     """
     D = cfg.exit_distance
     if cfg.phi <= 0.0:
@@ -387,25 +361,25 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
     v_kf = leader.vf
 
     horizon = max(leader.tf, tf_fixed or 0.0, tau1) + 8.0 + (cfg.phi * max(v_kf, v0) + cfg.delta0) / max(v_kf, 1e-6)
-    pieces = _ride_pieces(leader, tau1, u_entry, cfg, horizon)
+    ride = _ride(leader, tau1, u_entry, cfg, horizon)
 
     exit_solution = None
     if terminal == "fixed":
         if tf_fixed is None:
             raise ConfigError("fixed terminal requested without a value")
-        exit_solution = _exit_block(pieces, tau1, tf_fixed, cfg, leader, mode="fixed")
+        exit_solution = _exit_block(ride, tf_fixed, cfg, leader, mode="fixed")
     elif terminal == "free":
-        exit_solution = _exit_block(pieces, tau1, None, cfg, leader, mode="free")
+        exit_solution = _exit_block(ride, None, cfg, leader, mode="free")
         if exit_solution is None:
             terminal = "follower"
     if terminal == "follower" and exit_solution is None:
-        exit_solution = _exit_block(pieces, tau1, None, cfg, leader, mode="follower")
+        exit_solution = _exit_block(ride, None, cfg, leader, mode="follower")
 
     if exit_solution is not None:
         tail, eta = exit_solution
         tau2, tf = tail.t_start, tail.t_end
         if tau2 > tau1 + 1e-9 and tf > tau2 + 1e-9:
-            traj = PiecewiseTrajectory((entry, *_truncate_ride(pieces, tau2), tail))
+            traj = PiecewiseTrajectory((entry, *ride.until(tau2), tail))
             sol = SafetySolution(tau1=tau1, tau2=tau2, tf=tf, entry=entry, eta=eta)
             if report is not None:
                 report.log("gap_ride_with_departure", tau1=tau1, tau2=tau2, tf=tf)
@@ -414,15 +388,15 @@ def solve_safety(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig, *,
     if terminal == "fixed":
         raise StructureError("no admissible departure for the pinned terminal time")
     # ride the boundary through the merging-zone exit
-    while _ride_eval(pieces, horizon)[0] < D:
+    while ride.eval(ride.tf)[0] < D:
         horizon += 10.0
-        pieces = _ride_pieces(leader, tau1, u_entry, cfg, horizon)
-    roots = bracket_roots(lambda t: _ride_eval(pieces, t)[0] - D, (tau1, horizon))
+        ride = _ride(leader, tau1, u_entry, cfg, horizon)
+    roots = bracket_roots(lambda t: ride.eval(t)[0] - D, (ride.t0, ride.tf))
     if not roots:
         # p(tau1) > D: the approach itself runs past the exit
         raise StructureError("gap boundary joined past the merging-zone exit")
     tf = roots[0]
-    traj = PiecewiseTrajectory((entry, *_truncate_ride(pieces, tf)))
+    traj = PiecewiseTrajectory((entry, *ride.until(tf)))
     sol = SafetySolution(tau1=tau1, tau2=None, tf=tf, entry=entry)
     if report is not None:
         report.log("gap_ride_to_exit", tau1=tau1, tf=tf)
@@ -436,8 +410,8 @@ def _gap_closed(arc, leader: PiecewiseTrajectory, cfg: ScenarioConfig):
     return _first_crossing(track, +1, 0.0, 5e-7) is None
 
 
-def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
-    """Departing cubic leaving the gap boundary at tau2.
+def _exit_block(ride: PiecewiseTrajectory, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
+    """Departing cubic leaving the gap ride ``ride`` at tau2.
 
     With (p_r, v_r, u_r) the ride state at tau2 and s = tf - tau2, control
     continuity at tau2 and the terminal conditions fix the tail in closed
@@ -453,10 +427,11 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
       root is s. With the tail slope e = 2*(v_f - v_r - u_r*s)/s^2,
       u_f = u_r + e*s and eta = u_f/phi, g = gamma - u_f^2/2 + e*v_f + eta*v_kf.
 
-    g is scanned on 300 points of tau2 between tau1 and the end of the ride
+    g is scanned on 300 points of tau2 between the ride's start and end
     (and the pinned tf), NaN where no tail of positive length exists, in
-    one array evaluation of ``tail``; roots are refined by scalar calls. The
-    first root whose tail keeps the gap closed (``_gap_closed``) wins.
+    one array evaluation of ``tail`` on ``ride.sample``; roots are refined
+    by scalar calls on ``ride.eval``. The first root whose tail keeps the
+    gap closed (``_gap_closed``) wins.
     Returns (tail arc on [tau2, tf], eta) or None when no admissible
     departure exists (the signal for riding to the exit instead).
     """
@@ -487,15 +462,15 @@ def _exit_block(pieces, tau1, tf_fixed, cfg: ScenarioConfig, leader, *, mode):
             return (tf_fixed if mode == "fixed" else tau2 + s), -u_r / s, \
                 p_r + v_r * s + u_r * s * s / 3.0 - D
 
-    hi = pieces[-1].t_end - 1e-6
+    hi = ride.tf - 1e-6
     if mode == "fixed":
         hi = min(hi, tf_fixed - 1e-6)
-    if hi <= tau1 + 1e-6:
+    if hi <= ride.t0 + 1e-6:
         return None
-    grid = np.linspace(tau1 + 1e-6, hi, 300)
-    for tau2 in bracket_roots(lambda t: float(tail(t, *_ride_eval(pieces, t))[2]), grid,
-                              tail(grid, *_ride_states(pieces, grid))[2]):
-        p_r, v_r, u_r = _ride_eval(pieces, tau2)
+    grid = np.linspace(ride.t0 + 1e-6, hi, 300)
+    for tau2 in bracket_roots(lambda t: float(tail(t, *ride.eval(t))[2]), grid,
+                              tail(grid, *ride.sample(grid))[2]):
+        p_r, v_r, u_r = ride.eval(tau2)
         tf, e, _ = (float(x) for x in tail(tau2, p_r, v_r, u_r))
         arc = Arc.through(tau2, tf, p_r, v_r, e, u_r - e * tau2)
         if _gap_closed(arc, leader, cfg):

@@ -12,7 +12,7 @@ import numpy as np
 
 from cavcross.newton import solve_system
 from cavcross.model import Arc
-from cavcross.solver import StructureError, _entry_coeffs, _ride_eval, _ride_pieces
+from cavcross.solver import StructureError, _entry_coeffs, _ride
 
 
 def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
@@ -40,10 +40,10 @@ def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
             return np.array([1e6, 1e6])
         u_entry = a * tau1 + b
         try:
-            pieces = _ride_pieces(leader, tau1, u_entry, cfg, tf_fixed + 1.0)
+            ride = _ride(leader, tau1, u_entry, cfg, tf_fixed + 1.0)
         except StructureError:
             return np.array([1e6, 1e6])
-        p_r, v_r, u_r = _ride_eval(pieces, tau2)
+        p_r, v_r, u_r = ride.eval(tau2)
         e = u_r / (tau2 - tf_fixed)
         tail = Arc.through(tau2, tf_fixed, p_r, v_r, e, -e * tf_fixed)
         return np.array([g, tail.p(tf_fixed) - D])
@@ -59,8 +59,8 @@ def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):
     tau1 = t0 + math.exp(za)
     tau2 = tau1 + (tf_fixed - tau1) / (1.0 + math.exp(-zb))
     a, b, _ = _entry_coeffs(t0, v0, phi, d0, lead_ext, tau1)
-    pieces = _ride_pieces(leader, tau1, a * tau1 + b, cfg, tf_fixed + 1.0)
-    _, _, u_r = _ride_eval(pieces, tau2)
+    ride = _ride(leader, tau1, a * tau1 + b, cfg, tf_fixed + 1.0)
+    _, _, u_r = ride.eval(tau2)
     e = u_r / (tau2 - tf_fixed)
     r = -e * tf_fixed
     return {"a": a, "b": b, "tau1": tau1, "e": e, "r": r, "tau2": tau2}

@@ -208,7 +208,9 @@ def test_follower_terminal_departs_onto_the_headway_bound():
                                                       ("fixed", 42.5, _lead_dip())])
 def test_gap_ride_samples_only_the_leader_on_the_entry_grid(monkeypatch, terminal,
                                                            tf_fixed, lead):
-    """The approach and departure gap checks scan the arcs exactly."""
+    """The approach and departure gap checks scan the arcs exactly: only the
+    entry root search samples the leader (400 points) and the departure
+    scan the gap ride (300 points)."""
     calls = []
     sample = PiecewiseTrajectory.sample
 
@@ -218,7 +220,7 @@ def test_gap_ride_samples_only_the_leader_on_the_entry_grid(monkeypatch, termina
 
     monkeypatch.setattr(PiecewiseTrajectory, "sample", counted)
     solve_safety(1.5, 12.0, lead, CFG, terminal=terminal, tf_fixed=tf_fixed)
-    assert calls == [400]
+    assert calls == [400, 300]
 
 
 def test_approach_past_the_exit_declines():
