@@ -40,6 +40,11 @@ _EDGE_TOL = 1e-9
 GRID_BLOCK = 4096   # 1 ms grid points the audit and the fleet check sample at a time
 
 
+def _grid_size(span, step):
+    """Points of the even grid ``step`` apart over ``span``, at least 2."""
+    return max(int(math.ceil(span / step)) + 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # small polynomial helpers (coefficients lowest-order first, as tuples)
 # ---------------------------------------------------------------------------
@@ -347,7 +352,7 @@ class PiecewiseTrajectory:
         already increasing grid instead of sorting the whole array again.
         """
         t_lo = self.t0 if lo is None else lo
-        n = max(int(math.ceil((self.tf - t_lo) / step)) + 1, 2)
+        n = _grid_size(self.tf - t_lo, step)
         grid = np.linspace(t_lo, self.tf, n)
         extra = np.array(self.breakpoints + tuple(
             t for arc in self.arcs for t, _ in arc.v_extrema() + arc.u_extrema()))
@@ -361,6 +366,17 @@ class PiecewiseTrajectory:
         at = np.searchsorted(grid, extra)
         new = grid[np.minimum(at, n - 1)] != extra
         return np.insert(grid, at[new], extra[new])
+
+    def grid_before(self, ts, step: float) -> np.ndarray:
+        """The last time of ``dense_times(step)``'s even grid strictly before
+        each of ``ts`` (-inf where there is none), without building the grid:
+        k*((tf - t0)/(n - 1)) + t0, the arithmetic of ``np.linspace``."""
+        n = _grid_size(self.tf - self.t0, step)
+        ts = np.asarray(ts, dtype=float)
+        h = (self.tf - self.t0) / (n - 1)
+        k = np.clip(np.floor((ts - self.t0) / h)[:, None] + (-1.0, 0.0, 1.0), 0.0, n - 2.0)
+        grid = k * h + self.t0
+        return np.where(grid < ts[:, None], grid, -np.inf).max(axis=1)
 
     def cost(self, gamma: float) -> CostBreakdown:
         """Objective J = gamma*(tf - t0) + integral of 0.5 u^2, arc by arc in closed form."""

@@ -14,7 +14,10 @@
   forward-difference Jacobian, Armijo backtracking on the squared residual
   norm, and a deterministic ladder of initial guesses supplied by the
   caller. Its one caller in the solver is the follower terminal
-  (``solver.solve_p1_follower``); the saturation families are closed forms.
+  (``solver.solve_p1_follower``), with one unknown, its exit time, from one
+  start. It stays while the benchmark's tracer wraps it by name
+  (``bench/spans.py``); once that goes, the root can go through
+  ``bracket_roots`` and ``solve_system`` can be deleted.
 
 No randomness, so solves are reproducible bit for bit.
 """

@@ -10,8 +10,10 @@ costates lambda_p = a, lambda_v = -(a*t + b)). Given the junction and
 terminal times every arc follows in closed form, so most solves reduce to a
 scalar residual in one time whose roots ``newton.bracket_roots`` brackets on
 a grid, and the pinned cubic, the merging-zone hold and the saturation
-families solve by hand. Only the follower terminal still solves a small
-coupled system by Newton. Every arc is one ``Arc``, u = a*t + b +
+families solve by hand. The follower terminal is one residual in its exit
+time too, with the cubic and the multiplier in closed form at each
+horizon; its root is the planner's one call to ``newton.solve_system``,
+with one unknown. Every arc is one ``Arc``, u = a*t + b +
 A(t)*exp(-t/phi), and every polynomial arc is placed by ``Arc.through``.
 The solves:
 
@@ -153,64 +155,54 @@ def solve_p1_fixed(t0, v0, tf, cfg: ScenarioConfig, report: SolveReport | None =
 
 def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
                       report: SolveReport | None = None):
-    """Terminal time on the leader-headway boundary.
+    """Terminal time on the leader-headway boundary, as one root in tf.
 
     The exit time satisfies v_kf*(tf - t_kf) = phi*vf + delta0 together with
     the transversality pair lambda_v(tf) = -eta*phi and
-    H(tf) + eta*v_kf = 0. Unknowns (a, b, eta, tf). Returns
+    H(tf) + eta*v_kf = 0. For a horizon T = tf - t0 the bound fixes vf, and
+    the cubic through the entry state with p(tf) = D and v(tf) = vf has
+    slope a = 6*(T*(v0 + vf) - 2*D)/T^3 and exit control
+    u(tf) = (vf - v0)/T + a*T/2; eliminating eta = u(tf)/phi leaves the
+    residual H(tf) + u(tf)*v_kf/phi, solved for z = log(tf - t_kf) by
+    ``solve_system`` from tf = t_kf + (phi*v0 + delta0)/v_kf. With phi = 0
+    the bound pins tf = t_kf + delta0/v_kf and the cubic is the pinned one,
+    u(tf) = 0. Either way eta is read from H(tf) + eta*v_kf = 0, which is
+    far less sensitive to the last digits of tf than u(tf)/phi. Returns
     (arc, trajectory, eta).
     """
     t_kf, v_kf = leader.tf, leader.vf
     if v_kf <= 0.0:
         raise ConfigError("leader exits with nonpositive speed; headway boundary undefined")
-    D = cfg.exit_distance
-
-    def residual(x):
-        a, b, eta, z = x
-        tf = t_kf + math.exp(z)
-        # a span that does not move with the iterate tf
-        cubic = Arc.through(t0, t0, 0.0, v0, a, b)
-        uf = cubic.u(tf)
-        vf = cubic.v(tf)
-        return np.array([
-            cubic.p(tf) - D,
-            v_kf * (tf - t_kf) - cfg.phi * vf - cfg.delta0,
-            uf - eta * cfg.phi,
-            cfg.gamma - 0.5 * uf * uf + a * vf + eta * v_kf,
-        ])
-
-    # warm start: fixed-point of the headway bound through pinned solves,
-    # whose zero exit control starts the multiplier at zero
-    tf_g = t_kf + (cfg.phi * v0 + cfg.delta0) / v_kf
-    for _ in range(6):
-        arc, _ = solve_p1_fixed(t0, v0, tf_g, cfg)
-        tf_new = t_kf + (cfg.phi * arc.v(tf_g) + cfg.delta0) / v_kf
-        if abs(tf_new - tf_g) < 1e-9:
-            tf_g = tf_new
-            break
-        tf_g = tf_new
-    arc, _ = solve_p1_fixed(t0, v0, tf_g, cfg)
-    zg = math.log(max(tf_g - t_kf, 1e-6))
-    starts = [
-        (arc.a, arc.b, 0.0, zg),
-        (0.0, 0.0, 0.0, zg),
-    ]
-    if cfg.phi == 0.0 and cfg.delta0 == 0.0:
-        # boundary collapses to tf = t_kf exactly
-        arc, traj = solve_p1_fixed(t0, v0, t_kf, cfg, report=report)
+    D, phi, gamma = cfg.exit_distance, cfg.phi, cfg.gamma
+    if phi == 0.0:
+        tf = t_kf + cfg.delta0 / v_kf
+        arc, traj = solve_p1_fixed(t0, v0, tf, cfg, report=report)
         if report is not None:
             report.log("follower_terminal", residual=0.0, detail="collapsed to pinned terminal")
-        return arc, traj, 0.0
-    res = solve_system(residual, starts)
+        return arc, traj, -(gamma + arc.a * arc.v(tf)) / v_kf
+
+    def terminal(z):
+        """(tf, a, u(tf), H(tf)) of the cubic meeting the bound at tf = t_kf + e^z."""
+        tf = t_kf + math.exp(z)
+        T = tf - t0
+        vf = (v_kf * (tf - t_kf) - cfg.delta0) / phi
+        a = 6.0 * (T * (v0 + vf) - 2.0 * D) / T**3
+        uf = (vf - v0) / T + 0.5 * a * T
+        return tf, a, uf, gamma - 0.5 * uf * uf + a * vf
+
+    def residual(x):
+        _, _, uf, H = terminal(x[0])
+        return np.array([H + uf / phi * v_kf])
+
+    res = solve_system(residual, [(math.log((phi * v0 + cfg.delta0) / v_kf),)])
     if not res.converged:
         raise StructureError(
             f"follower-terminal solve failed (residual {res.residual_norm:.3e})")
-    a, b, eta, z = (float(x) for x in res.x)
-    tf = t_kf + math.exp(z)
-    arc = Arc.through(t0, tf, 0.0, v0, a, b)
+    tf, a, uf, H = terminal(float(res.x[0]))
+    arc = Arc.through(t0, tf, 0.0, v0, a, uf - a * tf)
     if report is not None:
         report.log("follower_terminal", residual=res.residual_norm, iters=res.iterations, tf=tf)
-    return arc, PiecewiseTrajectory((arc,)), eta
+    return arc, PiecewiseTrajectory((arc,)), -H / v_kf
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,19 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
     over those grid times, exactly as sampling all of them gives it, but
     found by ``model.worst_lag`` with no floor: runs of the grid whose
     closed-form bound lies more than GAP_MARGIN below the best sampled value
-    are never sampled.
+    are never sampled. A flat interior extremum can tie the grid time just
+    before it, so that time is a candidate too (``grid_before``, which
+    builds no grid), and a tie goes to the earlier time. A non-finite cost
+    or arc coefficient fails the check "finite cost and coefficients",
+    listed first and only then.
     """
     rep = AuditReport()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = traj.cost(cfg.gamma).objective
+    broken = [arc.t_start for arc in traj.arcs
+              if not all(map(math.isfinite, (arc.a, arc.b, arc.c, arc.d, *arc.amp)))]
+    if broken or not math.isfinite(cost):
+        rep.add("finite cost and coefficients", math.inf, (broken or [traj.t0])[0], 0.0)
     u_lo, u_hi = u_limits if u_limits is not None else (cfg.u_min, cfg.u_max)
     # the four bound checks, then -u, -v and u for min u, min v and max u
     quantities = {
@@ -131,8 +141,13 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
             if values[i] > best or (values[i] == best and ts[i] < t_best):
                 worst[name] = (float(values[i]), float(ts[i]))
 
-    cand = [(arc, t) for arc in traj.arcs for t in
-            [arc.t_start, *sorted(t for t, _ in arc.v_extrema() + arc.u_extrema()), arc.t_end]]
+    cand = []
+    for arc in traj.arcs:
+        inner = [t for t, _ in arc.v_extrema() + arc.u_extrema()]
+        if inner:
+            # a flat extremum can tie the grid time before it, which comes first
+            inner += [t for t in traj.grid_before(inner, step).tolist() if t > arc.t_start]
+        cand += [(arc, t) for t in [arc.t_start, *sorted(inner), arc.t_end]]
     reduce(np.array([t for _, t in cand]), np.array([arc.u(t) for arc, t in cand]),
            np.array([arc.v(t) for arc, t in cand]))
     tracks = [i for i, arc in enumerate(traj.arcs) if arc.kind == "track"]

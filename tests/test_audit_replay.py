@@ -9,7 +9,8 @@ quarter of their rear-end grids, and the six lane streams, and their fleet
 checks alone, stay under committed counts of sampled points. Then the
 closed-form candidates on their own: a leaderless audit samples no grid,
 the left arc's value at a junction, which no grid point sees, is checked,
-and a gap that is exactly constant is reported at its earliest grid time.
+a gap that is exactly constant is reported at its earliest grid time, and
+so is a flat extremum whose value the grid time before it ties.
 """
 import os
 import sys
@@ -181,3 +182,17 @@ def test_a_constant_gap_is_reported_at_its_earliest_time(phi, delta0, speed, lea
     assert (gap.worst, gap.t_worst) == (lag[0], ts[0])
     assert [(c.name, c.worst, c.t_worst) for c in got] == [
         (c.name, c.worst, c.t_worst) for c in want]
+
+
+def test_a_flat_extremum_tied_with_the_grid_is_reported_at_the_grid_time():
+    # v peaks 3e-7 s after a grid time, so flat that v there is the same
+    # double: the whole-grid audit reports that earlier grid time
+    cfg = ScenarioConfig(v_max=20.0)
+    for k in range(50):
+        t_star = 0.5 + 0.79 * k + 3e-7
+        traj = PiecewiseTrajectory((Arc.through(0.0, 40.0, 0.0, 12.0, -1e-3, 1e-3 * t_star),))
+        for mode in ("free", "fixed"):
+            got = audit(traj, cfg, terminal_mode=mode).checks
+            want = audit_whole_grid(traj, cfg, terminal_mode=mode).checks
+            assert [(c.name, c.worst, c.t_worst) for c in got] == [
+                (c.name, c.worst, c.t_worst) for c in want], (k, mode)

@@ -26,7 +26,8 @@ def _shifted(seed, dt):
 @pytest.mark.parametrize("dt", [
     100.0,
     pytest.param(300.0, marks=pytest.mark.xfail(
-        strict=True, reason="accepted gap rides report a NaN cost: the ride's "
+        strict=True, reason="gap rides whose energy overflows to NaN now fail "
+                            "the audit, so exit codes change: the ride's "
                             "amplitude and exponential are in absolute time")),
 ])
 def test_c7_plans_do_not_depend_on_the_clock(dt):

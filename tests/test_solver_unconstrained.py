@@ -103,3 +103,18 @@ def test_follower_collapses_to_pinned_without_headway():
     assert traj.tf == pytest.approx(39.0, abs=1e-9)
     assert params.a == pytest.approx(ref.a, abs=1e-9)
     assert params.b == pytest.approx(ref.b, abs=1e-9)
+    # H(tf) + eta*v_kf = 0 with u(tf) = 0
+    assert eta == -(cfg.gamma + params.a * traj.vf) / lead.vf
+    assert eta < 0.0
+
+
+def test_follower_without_reaction_time_keeps_the_coupled_solution():
+    # phi = 0 pins tf = t_kf + delta0/v_kf; eta as the coupled Newton solve found it
+    cfg = ScenarioConfig(v_max=20.0, phi=0.0, delta0=2.0)
+    _, lead = solve_p1_fixed(0.0, 10.0, 39.0, cfg)
+    params, traj, eta = solve_p1_follower(2.0, 10.0, lead, cfg)
+    assert traj.tf == pytest.approx(39.19259259259259, rel=1e-15)
+    assert traj.tf == 39.0 + cfg.delta0 / lead.vf
+    assert eta == pytest.approx(-0.007874740594338571, rel=1e-9, abs=0.0)
+    assert traj.eval(traj.tf)[2] == pytest.approx(0.0, abs=1e-12)
+    assert traj.eval(traj.tf)[0] == pytest.approx(400.0, abs=1e-8)

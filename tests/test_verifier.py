@@ -125,6 +125,31 @@ def test_audit_catches_hold_violation():
     assert "merging-zone hold" in _failed_names(rep)
 
 
+def _late_ride(t0):
+    """A 30 s gap ride from ``t0`` with u = 1e-3 at its start: its amplitude
+    carries exp(t0/phi), so from about 355 s on its squared energy overflows."""
+    amp = (1e-3 * math.exp(t0),)
+    ride = Arc(t0, t0 + 30.0, 0.0, 0.0, 12.0, 0.0, amp=amp, phi=1.0, kind="track")
+    return PiecewiseTrajectory((dataclasses.replace(ride, d=CFG.exit_distance - ride.p(t0 + 30.0)),))
+
+
+def test_audit_fails_a_ride_whose_energy_overflows():
+    assert audit(_late_ride(300.0), CFG, terminal_mode="fixed").ok
+    late = _late_ride(400.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(late.cost(CFG.gamma).objective)
+    rep = audit(late, CFG, terminal_mode="fixed")
+    assert _failed_names(rep) == {"finite cost and coefficients"}
+    assert rep.checks[0].t_worst == 400.0
+
+
+def test_audit_fails_a_non_finite_coefficient():
+    ride = dataclasses.replace(_late_ride(100.0).arcs[0], amp=(math.nan,))
+    rep = audit(PiecewiseTrajectory((ride,)), CFG, terminal_mode="fixed")
+    assert rep.checks[0].name == "finite cost and coefficients"
+    assert not rep.checks[0].ok and rep.checks[0].t_worst == 100.0
+
+
 # ---------------------------------------------------------------------------
 # independent cost evaluation and the transcription competitor
 # ---------------------------------------------------------------------------
