@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (GAP_MARGIN, GRID_BLOCK, ConfigError, PiecewiseTrajectory,
-                    ScenarioConfig, VehicleArrival, gap_pieces, gap_range, gap_terms,
-                    held_terms, worst_lag)
+from .model import (GAP_MARGIN, GRID_BLOCK, GRID_STEP, ConfigError,
+                    PiecewiseTrajectory, ScenarioConfig, VehicleArrival, gap_pieces,
+                    gap_range, gap_terms, held_terms, worst_lag)
 
 TIE_EPS = 1e-9
 LAG_FLOOR = 1e-6 - GAP_MARGIN   # a lag below it holds no sampled gap below -1e-6
@@ -201,7 +201,7 @@ def _open_pieces(cfg: ScenarioConfig, me: _Passed, leads: list, t_lo: float) -> 
     return out
 
 
-def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dict:
+def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list) -> dict:
     """Rear-end violations of ``me`` behind each same-lane predecessor, by
     id: the (t, gap) of ``_worst_gap``.
 
@@ -219,7 +219,7 @@ def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dic
         opened = _open_pieces(cfg, me, group, t_lo)
         if not opened:
             continue
-        ts = traj.dense_times(step, t_lo)
+        ts = traj.dense_times(GRID_STEP, t_lo)
         for j in group:
             if (j.cav in opened and worst_lag(traj, j.traj, cfg.phi, cfg.delta0, ts,
                                               LAG_FLOOR)[0] >= LAG_FLOOR):
@@ -229,17 +229,17 @@ def _rear_end(cfg: ScenarioConfig, me: _Passed, leads: list, step: float) -> dic
     return found
 
 
-def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
+def check_guarantees(coord: Coordinator) -> GuaranteeReport:
     """Audits every solved pair for rear-end, merging-zone, and order safety.
 
     For each solved CAV i and each earlier solved CAV j, in queue order:
 
     * order: i must not exit before j (``tf_i >= tf_j - 1e-9``);
     * rear-end, j on i's road and lane: the gap ``P_j - p_i - phi*v_i -
-      delta0`` is sampled over ``[max(t0_i, t0_j), tf_i]`` at ``step`` plus
-      i's arc breakpoints and v and u extrema, where ``P_j`` is j's position
-      held at its exit speed once it has left; a sampled gap below -1e-6 is
-      a violation at the worst sample;
+      delta0`` is sampled over ``[max(t0_i, t0_j), tf_i]`` every
+      ``GRID_STEP`` plus i's arc breakpoints and v and u extrema, where
+      ``P_j`` is j's position held at its exit speed once it has left; a
+      sampled gap below -1e-6 is a violation at the worst sample;
     * lateral, j on a conflicting road: i's merging-zone entry
       ``p_i = L`` must not come before j's exit.
 
@@ -294,7 +294,7 @@ def check_guarantees(coord: Coordinator, step: float = 1e-3) -> GuaranteeReport:
         t_m = traj.position_root(cfg.L) if rivals else None
         me = _Passed.of(entry, cfg)
         lane = (arr.road, arr.lane)
-        rear = _rear_end(cfg, me, lanes.get(lane, []), step)
+        rear = _rear_end(cfg, me, lanes.get(lane, []))
         if (traj.tf < latest - 1e-9 or rear
                 or (rivals and t_m < max(rivals) - 1e-9)):
             for j in passed:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .newton import bracket_roots
+from .roots import bracket_roots, quadratic_root_pairs
 
 
 class DomainError(ValueError):
@@ -37,6 +37,7 @@ class ConfigError(ValueError):
 
 
 _EDGE_TOL = 1e-9
+GRID_STEP = 1e-3    # s, the spacing of the audit's and the fleet check's dense grids
 GRID_BLOCK = 4096   # 1 ms grid points the audit and the fleet check sample at a time
 
 
@@ -491,12 +492,9 @@ def gap_pieces(t_lo: float, t_hi: float, follow_starts, lead_starts):
 def _cubic_range(c, ta, tb):
     """Elementwise (min, max) of the cubics in the rows of ``c`` over
     [ta, tb]: their values at both ends and at the roots of the quadratic
-    derivative inside, found by the arithmetic of ``newton.quadratic_roots``."""
+    derivative inside (``quadratic_root_pairs``)."""
     c0, c1, c2, c3 = c.T
-    A, B = 3.0 * c3, 2.0 * c2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * c1), B))
-        t = np.array([ta, tb, np.where(A == 0.0, -c1 / B, q / A), c1 / q])
+    t = np.array([ta, tb, *quadratic_root_pairs(c1, 2.0 * c2, 3.0 * c3)])
     t[2:] = np.where((t[2:] > ta) & (t[2:] < tb), t[2:], ta)
     values = ((c3 * t + c2) * t + c1) * t + c0
     return values.min(axis=0), values.max(axis=0)

@@ -8,14 +8,12 @@ a conflicting CAV's exit time, and first-in-first-out ordering.
 Stationarity makes the unconstrained control linear in time (u = a*t + b with
 costates lambda_p = a, lambda_v = -(a*t + b)). Given the junction and
 terminal times every arc follows in closed form, so most solves reduce to a
-scalar residual in one time whose roots ``newton.bracket_roots`` brackets on
+scalar residual in one time whose roots ``roots.bracket_roots`` brackets on
 a grid, and the pinned cubic, the merging-zone hold and the saturation
-families solve by hand. The follower terminal is one residual in its exit
-time too, with the cubic and the multiplier in closed form at each
-horizon; its root is the planner's one call to ``newton.solve_system``,
-with one unknown. Every arc is one ``Arc``, u = a*t + b +
-A(t)*exp(-t/phi), and every polynomial arc is placed by ``Arc.through``.
-The solves:
+families solve by hand. The follower terminal is one such residual in its
+exit time, with the cubic and the multiplier in closed form at each
+horizon. Every arc is one ``Arc``, u = a*t + b + A(t)*exp(-t/phi), and
+every polynomial arc is placed by ``Arc.through``. The solves:
 
 * ``solve_p0_free``       -- free terminal time, no active constraints.
 * ``solve_p1_fixed``      -- pinned terminal time.
@@ -45,13 +43,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import TerminalWindow, composite_window
 from .model import (Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig,
                     VehicleArrival, _pint, _pval)
-from .newton import bracket_roots, quadratic_roots, smallest_positive_root, solve_system
+from .roots import bracket_roots, quadratic_root_pairs, quadratic_roots
 
 
 class SolverError(RuntimeError):
@@ -153,6 +152,37 @@ def solve_p1_fixed(t0, v0, tf, cfg: ScenarioConfig, report: SolveReport | None =
     return arc, PiecewiseTrajectory((arc,))
 
 
+class Root(NamedTuple):
+    x: float                # NaN when the grid brackets no root
+    iterations: int         # scalar evaluations refining the brackets
+    converged: bool
+
+
+def solve_system(fn, grid) -> Root:
+    """The first root of the scalar ``fn`` on ``grid`` by ``bracket_roots``,
+    the grid values from one call of ``fn`` on the whole array.
+
+    Kept as its own name for the follower terminal's one call, because the
+    benchmark's tracer wraps ``solver.solve_system`` and counts its residual
+    evaluations and iterations; ROADMAP item 5 retires that site.
+    """
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return fn(x)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = fn(grid)
+    roots = bracket_roots(counted, grid, values)
+    return Root(roots[0] if roots else math.nan, calls, bool(roots))
+
+
+# the follower's tf - t_kf is searched from 1 ms to 1,000 s, 8 points a decade
+FOLLOWER_LADDER = np.geomspace(1e-3, 1e3, 49)
+
+
 def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
                       report: SolveReport | None = None):
     """Terminal time on the leader-headway boundary, as one root in tf.
@@ -163,8 +193,9 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
     the cubic through the entry state with p(tf) = D and v(tf) = vf has
     slope a = 6*(T*(v0 + vf) - 2*D)/T^3 and exit control
     u(tf) = (vf - v0)/T + a*T/2; eliminating eta = u(tf)/phi leaves the
-    residual H(tf) + u(tf)*v_kf/phi, solved for z = log(tf - t_kf) by
-    ``solve_system`` from tf = t_kf + (phi*v0 + delta0)/v_kf. With phi = 0
+    residual H(tf) + u(tf)*v_kf/phi in s = tf - t_kf. Its first root on
+    ``FOLLOWER_LADDER`` (the points with tf > t0) is taken by
+    ``solve_system``; a ladder with no sign change declines. With phi = 0
     the bound pins tf = t_kf + delta0/v_kf and the cubic is the pinned one,
     u(tf) = 0. Either way eta is read from H(tf) + eta*v_kf = 0, which is
     far less sensitive to the last digits of tf than u(tf)/phi. Returns
@@ -181,27 +212,28 @@ def solve_p1_follower(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,
             report.log("follower_terminal", residual=0.0, detail="collapsed to pinned terminal")
         return arc, traj, -(gamma + arc.a * arc.v(tf)) / v_kf
 
-    def terminal(z):
-        """(tf, a, u(tf), H(tf)) of the cubic meeting the bound at tf = t_kf + e^z."""
-        tf = t_kf + math.exp(z)
-        T = tf - t0
-        vf = (v_kf * (tf - t_kf) - cfg.delta0) / phi
+    def terminal(s):
+        """(a, u(tf), H(tf)) of the cubic meeting the bound at tf = t_kf + s,
+        elementwise when s is an array."""
+        T = t_kf + s - t0
+        vf = (v_kf * s - cfg.delta0) / phi
         a = 6.0 * (T * (v0 + vf) - 2.0 * D) / T**3
         uf = (vf - v0) / T + 0.5 * a * T
-        return tf, a, uf, gamma - 0.5 * uf * uf + a * vf
+        return a, uf, gamma - 0.5 * uf * uf + a * vf
 
-    def residual(x):
-        _, _, uf, H = terminal(x[0])
-        return np.array([H + uf / phi * v_kf])
+    def residual(s):
+        _, uf, H = terminal(s)
+        return H + uf / phi * v_kf
 
-    res = solve_system(residual, [(math.log((phi * v0 + cfg.delta0) / v_kf),)])
-    if not res.converged:
-        raise StructureError(
-            f"follower-terminal solve failed (residual {res.residual_norm:.3e})")
-    tf, a, uf, H = terminal(float(res.x[0]))
+    root = solve_system(residual, FOLLOWER_LADDER[t_kf + FOLLOWER_LADDER > t0])
+    if not root.converged:
+        raise StructureError("follower-terminal solve failed (no root on the horizon ladder)")
+    tf = t_kf + root.x
+    a, uf, H = terminal(root.x)
     arc = Arc.through(t0, tf, 0.0, v0, a, uf - a * tf)
     if report is not None:
-        report.log("follower_terminal", residual=res.residual_norm, iters=res.iterations, tf=tf)
+        report.log("follower_terminal", residual=abs(H + uf / phi * v_kf),
+                   iters=root.iterations, tf=tf)
     return arc, PiecewiseTrajectory((arc,)), -H / v_kf
 
 
@@ -439,8 +471,11 @@ def _exit_block(ride: PiecewiseTrajectory, tf_fixed, cfg: ScenarioConfig, leader
                 # v_f = alpha + beta*s; no departure once the ride has passed the exit
                 alpha = (v_kf * (tau2 - t_kf) - cfg.delta0) / phi
                 beta = v_kf / phi
-                s = np.where(p_r >= D, np.nan, smallest_positive_root(
-                    u_r / 6.0 + beta / 3.0, (2.0 * v_r + alpha) / 3.0, p_r - D))
+                first, second = quadratic_root_pairs(p_r - D, (2.0 * v_r + alpha) / 3.0,
+                                                     u_r / 6.0 + beta / 3.0)
+                s = np.fmin(np.where(first > 0.0, first, np.nan),
+                            np.where(second > 0.0, second, np.nan))
+                s = np.where(p_r >= D, np.nan, s)
                 v_f = alpha + beta * s
                 e = 2.0 * (v_f - v_r - u_r * s) / (s * s)
                 u_f = u_r + e * s
@@ -829,7 +864,8 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
     time of the latest conflicting predecessor; ``other_tf`` the latest
     adjacent/opposite exit time; ``force_tf`` pins the terminal time outright.
 
-    The unconstrained solve is pinned onto the terminal window first. Then
+    The unconstrained solve is pinned onto the terminal window first; a
+    window that is empty, the first or any refreshed one, declines. Then
     each round takes the earliest violation, looks up the arc family that
     clears it (``ACTIVATES``) and whether that family may follow the current
     structure (``FOLLOWS``), and captures the family as one solve
@@ -846,16 +882,19 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
         force_tf = arrival.force_tf
 
     def window_for(vf_hyp):
-        return composite_window(t0, v0, cfg, leader=leader, other_tf=other_tf,
-                                vf_i=vf_hyp, u_limits=u_limits)
+        """The terminal window for the exit speed ``vf_hyp``; an empty one
+        declines, so every pin below lands inside a window."""
+        window = composite_window(t0, v0, cfg, leader=leader, other_tf=other_tf,
+                                  vf_i=vf_hyp, u_limits=u_limits)
+        if window.t_upper is not None and window.t_lower > window.t_upper + 1e-9:
+            report.window = window
+            report.log("window", detail="empty terminal window")
+            raise InfeasibleProblem(
+                f"CAV {arrival.id}: terminal window empty "
+                f"[{window.t_lower:.3f}, {window.t_upper:.3f}]", report)
+        return window
 
-    window = window_for(None)
-    report.window = window
-    if window.t_upper is not None and window.t_lower > window.t_upper + 1e-9:
-        report.log("window", detail="empty terminal window")
-        raise InfeasibleProblem(
-            f"CAV {arrival.id}: terminal window empty "
-            f"[{window.t_lower:.3f}, {window.t_upper:.3f}]", report)
+    report.window = window_for(None)
 
     terminal, tf_pin = "free", None
     if force_tf is not None:
@@ -875,24 +914,18 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
     # follower term with the solved exit speed (fixed-point, small count)
     for _ in range(MAX_ROUNDS):
         window = report.window = window_for(traj.vf)
-        if force_tf is not None:
+        if force_tf is not None or traj.tf >= window.t_lower - 1e-6:
             break
-        if traj.tf < window.t_lower - 1e-6:
-            report.binding = window.binding
-            if window.binding == "speed_control":
-                # the bound is the vehicle's own limits, not a neighbour;
-                # the capped free families clear it without a pin, and
-                # pinning exactly on it degenerates the blend to a bang
-                break
-            if window.binding == "follower" and cfg.phi > 0:
-                terminal, tf_pin = "follower", None
-            else:
-                terminal, tf_pin = "fixed", window.t_lower
-        elif window.t_upper is not None and traj.tf > window.t_upper + 1e-6:
-            report.binding = "upper"
-            terminal, tf_pin = "fixed", window.t_upper
+        report.binding = window.binding
+        if window.binding == "speed_control":
+            # the bound is the vehicle's own limits, not a neighbour;
+            # the capped free families clear it without a pin, and
+            # pinning exactly on it degenerates the blend to a bang
+            break
+        if window.binding == "follower" and cfg.phi > 0:
+            terminal, tf_pin = "follower", None
         else:
-            break
+            terminal, tf_pin = "fixed", window.t_lower
         traj = solve_terminal(terminal, tf_pin)
     report.terminal_mode = terminal
 
@@ -948,20 +981,15 @@ def plan(arrival: VehicleArrival, cfg: ScenarioConfig, *, leader=None,
                              else f"{kind}{'+' if direction > 0 else '-'}")
 
         # keep pinned terminals on the refreshed composite bound (fixed-point):
-        # any binding but the vehicle's own limits pins t_lower, and only an
-        # already fixed terminal is pulled back to t_upper
+        # any binding but the vehicle's own limits pins t_lower
         if force_tf is not None or family == "safety":
             continue
         for _ in range(MAX_ROUNDS):
             window = window_for(traj.vf)
-            if traj.tf < window.t_lower - 1e-6 and window.binding != "speed_control":
-                tf_pin = window.t_lower
-            elif terminal == "fixed" and window.t_upper is not None and \
-                    traj.tf > window.t_upper + 1e-6:
-                tf_pin = window.t_upper
-            else:
+            if traj.tf >= window.t_lower - 1e-6 or window.binding == "speed_control":
                 break
             terminal = report.terminal_mode = "fixed"
+            tf_pin = window.t_lower
             traj = solve(terminal, tf_pin)
     else:
         leftovers = scan_violations(traj, cfg, u_limits=u_limits, leader=leader,

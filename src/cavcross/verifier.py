@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GRID_BLOCK, PiecewiseTrajectory, ScenarioConfig, worst_lag
+from .model import GRID_BLOCK, GRID_STEP, PiecewiseTrajectory, ScenarioConfig, worst_lag
 
 BOUND_TOL = 1e-9
 GAP_TOL = 1e-6
@@ -88,7 +88,7 @@ class AuditReport:
 
 
 def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
-          lateral_tm=None, u_limits=None, terminal_mode="free", step=1e-3) -> AuditReport:
+          lateral_tm=None, u_limits=None, terminal_mode="free") -> AuditReport:
     """Full constraint and invariant audit of one solved trajectory.
 
     The control and speed bounds and the sign checks (free-time lower caps,
@@ -97,7 +97,7 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
     and u extrema. On "cubic", "sat" and "cruise" arcs u is linear and v
     has at most one stationary point, so that is exact; it also checks the
     left arc's value at each junction, where a grid sees only the right
-    arc's. The 1 ms grid, ``dense_times(step)``, is sampled only where the
+    arc's. The 1 ms grid, ``dense_times(GRID_STEP)``, is sampled only where the
     candidates are not enough: over "track" arcs, whose extrema are found
     by a scan, and for the rear-end gap behind a leader at the grid times
     from the leader's entry on. It is evaluated and reduced ``GRID_BLOCK``
@@ -146,13 +146,13 @@ def audit(traj: PiecewiseTrajectory, cfg: ScenarioConfig, *, leader=None,
         inner = [t for t, _ in arc.v_extrema() + arc.u_extrema()]
         if inner:
             # a flat extremum can tie the grid time before it, which comes first
-            inner += [t for t in traj.grid_before(inner, step).tolist() if t > arc.t_start]
+            inner += [t for t in traj.grid_before(inner, GRID_STEP).tolist() if t > arc.t_start]
         cand += [(arc, t) for t in [arc.t_start, *sorted(inner), arc.t_end]]
     reduce(np.array([t for _, t in cand]), np.array([arc.u(t) for arc, t in cand]),
            np.array([arc.v(t) for arc, t in cand]))
     tracks = [i for i, arc in enumerate(traj.arcs) if arc.kind == "track"]
     if tracks or leader is not None:
-        ts = traj.dense_times(step)
+        ts = traj.dense_times(GRID_STEP)
     if tracks:
         # the grid times each arc evaluates in ``sample``
         cuts = np.searchsorted(ts, [arc.t_start for arc in traj.arcs[1:]]).tolist()

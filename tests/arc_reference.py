@@ -15,7 +15,7 @@ import numpy as np
 
 from cavcross.model import (ConfigError, _EDGE_TOL, _exp_antideriv, _pder, _pint,
                             _pmul, _pval)
-from cavcross.newton import bracket_roots
+from cavcross.roots import bracket_roots
 
 
 @dataclass(frozen=True)

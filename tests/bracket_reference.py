@@ -1,11 +1,11 @@
-"""``newton.bracket_roots`` as it was before its sign scan moved to numpy,
+"""``roots.bracket_roots`` as it was before its sign scan moved to numpy,
 kept verbatim: one Python pass over the grid, refining each bracket as it
 is met. ``tests/test_newton.py`` replays it against the array scan bit for
 bit on random grids with exact zeros and NaNs.
 """
 from __future__ import annotations
 
-from cavcross.newton import _chandrupatla
+from cavcross.roots import _chandrupatla
 
 
 def bracket_roots(fn, grid, values=None) -> list:

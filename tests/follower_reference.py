@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from cavcross.model import Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig
-from cavcross.newton import solve_system
 from cavcross.solver import SolveReport, StructureError, solve_p1_fixed
+from newton_reference import solve_system
 
 
 def solve_p1_follower_newton(t0, v0, leader: PiecewiseTrajectory, cfg: ScenarioConfig,

